@@ -34,14 +34,18 @@ class Character(dict):
             ch[normalize_weight(key)] = coeff
         return ch
 
+    def add_term(self, key, coeff: int) -> None:
+        """Add coeff at key in place; a coefficient that reaches zero is dropped."""
+        new = self[key] + coeff
+        if new:
+            self[key] = new
+        else:
+            self.pop(key, None)
+
     def added(self, other, sign: int = 1) -> "Character":
         out = Character(self)
         for k, v in other.items():
-            new = out[k] + sign * v
-            if new:
-                out[k] = new
-            else:
-                out.pop(k, None)
+            out.add_term(k, sign * v)
         return out
 
     def scaled(self, c: int) -> "Character":
@@ -54,11 +58,7 @@ class Character(dict):
         for k1, v1 in self.items():
             for k2, v2 in other.items():
                 k = tuple(normalize_entry(a + b) for a, b in zip(k1, k2, strict=True))
-                new = out[k] + v1 * v2
-                if new:
-                    out[k] = new
-                else:
-                    out.pop(k, None)
+                out.add_term(k, v1 * v2)
         return out
 
     def shifted(self, key) -> "Character":
@@ -77,7 +77,8 @@ class Character(dict):
 def char_sum(chars) -> Character:
     out = Character()
     for ch in chars:
-        out = out.added(ch)
+        for k, v in ch.items():
+            out.add_term(k, v)
     return out
 
 
@@ -98,12 +99,7 @@ def finite_key(rs: RootSystem, x: Weight) -> tuple:
 def restrict_hd(rs: RootSystem, ch: Character) -> Character:
     out = Character()
     for k, v in ch.items():
-        key = hd_key(rs, k)
-        new = out[key] + v
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
+        out.add_term(hd_key(rs, k), v)
     return out
 
 
@@ -125,14 +121,14 @@ def _alpha_expand_diff(rs: RootSystem, lam_finite, key_finite):
 def in_q_plus(rs: RootSystem, lam_finite, key_finite) -> bool:
     """lam - key is a nonnegative integer sum of simple roots."""
     coeffs = _alpha_expand_diff(rs, lam_finite, key_finite)
-    return all(Fraction(c).denominator == 1 and c >= 0 for c in coeffs)
+    return all(isinstance(c, int) and c >= 0 for c in coeffs)
 
 
 def in_q_plus_short(rs: RootSystem, lam_finite, key_finite) -> bool:
     """lam - key is a nonnegative integer sum of short simple roots."""
     coeffs = _alpha_expand_diff(rs, lam_finite, key_finite)
     for node, c in zip(rs.finite_nodes, coeffs):
-        if Fraction(c).denominator != 1:
+        if not isinstance(c, int):
             return False
         if node in rs.short_nodes:
             if c < 0:
@@ -142,22 +138,17 @@ def in_q_plus_short(rs: RootSystem, lam_finite, key_finite) -> bool:
     return True
 
 
+def _height(rs: RootSystem, key_finite):
+    """Sum of the simple-root coefficients: strictly increasing along Q_+."""
+    return sum(rs.classical_alpha_expand((0,) + tuple(key_finite)))
+
+
 def hd_below_short(rs: RootSystem, lam: Weight):
     """Predicate on restricted keys for membership in lam - Q_+^sh + Z delta."""
     lam_f = finite_key(rs, lam)
 
     def pred(key):
         return in_q_plus_short(rs, lam_f, hd_finite_part(key))
-
-    return pred
-
-
-def hd_below(rs: RootSystem, lam: Weight):
-    """Predicate on restricted keys for membership in lam - Q_+ + Z delta."""
-    lam_f = finite_key(rs, lam)
-
-    def pred(key):
-        return in_q_plus(rs, lam_f, hd_finite_part(key))
 
     return pred
 
@@ -182,12 +173,7 @@ def i_sh_hd(rs: RootSystem, key) -> tuple:
 def i_sh_char(rs: RootSystem, ch: Character) -> Character:
     out = Character()
     for k, v in ch.items():
-        key = i_sh_hd(rs, k)
-        new = out[key] + v
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
+        out.add_term(i_sh_hd(rs, k), v)
     return out
 
 
@@ -198,9 +184,9 @@ def _finite_char_cached(rs: RootSystem, mu_coeffs) -> Character:
     graph = C.finite_closure(rs, mu_coeffs)
     ch = Character()
     for path in graph.nodes:
-        key = path.endpoint()[1:]
-        ch[key] = ch[key] + 1
-    assert ch.mass() == rs.weyl_dimension(mu_coeffs)
+        ch.add_term(path.endpoint()[1:], 1)
+    if ch.mass() != rs.weyl_dimension(mu_coeffs):
+        raise AssertionError(f"finite crystal of {mu_coeffs} misses the Weyl dimension")
     return ch
 
 def finite_char(rs: RootSystem, mu_coeffs) -> Character:
@@ -215,19 +201,14 @@ def finite_char(rs: RootSystem, mu_coeffs) -> Character:
 def decompose_finite(rs: RootSystem, ch: Character) -> dict:
     """Write a finite-key character as a sum of irreducible characters.
 
-    Repeatedly strips a dominance-maximal support weight; a negative
-    multiplicity or a non-dominant maximum means the input was not a genuine
-    module character.
+    Repeatedly strips a support weight of greatest height, which is
+    dominance-maximal; a negative multiplicity or a non-dominant maximum
+    means the input was not a genuine module character.
     """
     residue = Character(ch)
     out: dict = {}
     while residue:
-        keys = sorted(residue)
-        maximal = [
-            k for k in keys
-            if not any(k2 != k and in_q_plus(rs, k2, k) for k2 in keys)
-        ]
-        top = maximal[-1]
+        top = max(residue, key=lambda k: _height(rs, k))
         if any(c < 0 for c in top):
             raise CharacterError(f"maximal weight {top} is not dominant")
         mult = residue[top]
@@ -253,18 +234,13 @@ def decompose_hd(rs: RootSystem, ch: Character) -> dict:
     return out
 
 
-def graded_multiplicity(rs: RootSystem, ch: Character, mu_coeffs) -> dict:
-    """Multiplicity series of one irreducible inside a restricted character,
-    as a map exponent -> coefficient in the grading variable."""
-    mu_key = finite_key(rs, rs.weight_of(mu_coeffs))
-    series = {}
-    for (nu, m), mult in decompose_hd(rs, ch).items():
-        if nu == mu_key:
-            series[m] = series.get(m, 0) + mult
-    return series
-
-
 # -- peeling into level-r building blocks -------------------------------------
+
+def hd_height(rs: RootSystem, key):
+    """Height of the finite part minus the grading.  It strictly increases
+    along dominance_leq, so a key that maximises it is maximal."""
+    return _height(rs, hd_finite_part(key)) - hd_delta(key)
+
 
 def dominance_leq(rs: RootSystem, key1, key2) -> bool:
     """key1 precedes key2: finite parts differ by Q_+ and the grading of

@@ -161,7 +161,9 @@ def cmd_verify(args):
     return status
 
 
-def _random_integral_path(rs, rng):
+def random_integral_path(rs, rng):
+    """Concatenation of one to three random straight paths, then up to three
+    random root operators; the draws from ``rng`` follow that order."""
     pieces = []
     for _ in range(rng.randint(1, 3)):
         coeffs = [rng.randint(-2, 2) for _ in range(rs.rank)]
@@ -178,26 +180,36 @@ def _random_integral_path(rs, rng):
     return path
 
 
+def _require(ok, message):
+    # an explicit raise, so the check also runs under python -O
+    if not ok:
+        raise AssertionError(message)
+
+
+def check_operator_properties(rs, path):
+    """Root-operator identities at one integral path; raises AssertionError."""
+    _require(P.is_integral(rs, path), "closure lost integrality")
+    wt = path.endpoint()
+    for i in rs.nodes:
+        eps, phi = P.eps_phi(rs, i, path)
+        _require(phi - eps == wt[i], "statistics do not match the weight pairing")
+        up = P.e_op(rs, i, path)
+        _require((up is None) == (eps == 0), "raising disagrees with epsilon")
+        if up is not None:
+            _require(P.f_op(rs, i, up) == path, "lowering does not invert raising")
+            _require(up.endpoint() == rs.add(wt, rs.simple_root(i)), "raising misses +alpha_i")
+        down = P.f_op(rs, i, path)
+        _require((down is None) == (phi == 0), "lowering disagrees with phi")
+        if down is not None:
+            _require(P.e_op(rs, i, down) == path, "raising does not invert lowering")
+            _require(down.endpoint() == rs.sub(wt, rs.simple_root(i)), "lowering misses -alpha_i")
+
+
 def run_selftest(rs, seed, count=200):
     """Operator identities on randomized integral paths; raises on failure."""
     rng = random.Random(seed)
     for _ in range(count):
-        path = _random_integral_path(rs, rng)
-        assert P.is_integral(rs, path), "closure lost integrality"
-        wt = path.endpoint()
-        for i in rs.nodes:
-            eps, phi = P.eps_phi(rs, i, path)
-            assert phi - eps == wt[i], "statistics do not match the weight pairing"
-            up = P.e_op(rs, i, path)
-            assert (up is None) == (eps == 0)
-            if up is not None:
-                assert P.f_op(rs, i, up) == path, "lowering does not invert raising"
-                assert up.endpoint() == rs.add(wt, rs.simple_root(i))
-            down = P.f_op(rs, i, path)
-            assert (down is None) == (phi == 0)
-            if down is not None:
-                assert P.e_op(rs, i, down) == path, "raising does not invert lowering"
-                assert down.endpoint() == rs.sub(wt, rs.simple_root(i))
+        check_operator_properties(rs, random_integral_path(rs, rng))
     return count
 
 

@@ -33,15 +33,11 @@ class CrystalGraph:
     index: dict  # Path -> position
     f_edges: dict  # (pos, i) -> (pos, shift)
     e_edges: dict  # (pos, i) -> (pos, shift)
-    seeds: list
     ops: tuple
     shifts_seen: set = field(default_factory=set)
 
     def __len__(self):
         return len(self.nodes)
-
-    def weights(self):
-        return [p.endpoint() for p in self.nodes]
 
 
 def _closure(rs, seed_paths, ops, cap, normalizer=None):
@@ -84,7 +80,7 @@ def _closure(rs, seed_paths, ops, cap, normalizer=None):
                 tgt, sh = intern(up)
                 e_edges[(pos, i)] = (tgt, sh)
                 shifts_seen.add(sh)
-    return CrystalGraph(rs, nodes, index, f_edges, e_edges, list(seed_paths), tuple(ops), shifts_seen)
+    return CrystalGraph(rs, nodes, index, f_edges, e_edges, tuple(ops), shifts_seen)
 
 
 def generate(rs: RootSystem, seed: P.Path, ops, cap: int = NODE_CAP) -> CrystalGraph:
@@ -147,6 +143,9 @@ def level_zero_cached(rs: RootSystem, lam: Weight, cap: int = NODE_CAP) -> Cryst
     if graph is None:
         graph = generate_level_zero(rs, lam, cap)
         _LEVEL_ZERO_CACHE[key] = graph
+    elif len(graph) > cap:
+        # generation is deterministic: a fresh build under this cap would fail
+        raise GenerationError(f"node cap {cap} exceeded")
     return graph
 
 

@@ -21,10 +21,10 @@ from .characters import (
     dominance_leq,
     decompose_hd,
     finite_key,
-    graded_multiplicity,
     hd_below_short,
     hd_delta,
     hd_finite_part,
+    hd_height,
     hd_key,
     i_sh_char,
     i_sh_hd,
@@ -132,10 +132,9 @@ def decompose_tensor_image(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
     components = []
     for top, members in sorted(buckets.items(), key=lambda kv: min(kv[1])):
         keys = [hd_key(rs, full_weight(graph, pos)) for pos in members]
-        maxima = [k for k in set(keys) if all(dominance_leq(rs, k2, k) for k2 in keys)]
-        if len(maxima) != 1 or keys.count(maxima[0]) != 1:
-            raise DecompositionError(f"component top key is not unique: {maxima}")
-        top_key = maxima[0]
+        top_key = max(keys, key=lambda k: hd_height(rs, k))
+        if keys.count(top_key) != 1 or not all(dominance_leq(rs, k, top_key) for k in keys):
+            raise DecompositionError(f"component top key {top_key} is not unique")
         mu = hd_finite_part(top_key)
         if any(c < 0 for c in mu):
             raise DecompositionError(f"component top {top_key} is not dominant")
@@ -333,23 +332,17 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
             prod *= size ** lam[i]
     checks["dimension_product"] = prod == len(graph)
 
+    # graded multiplicity series {mu: {m: mult}}: from the one decomposition
+    # of route (a), and directly from the classically highest elements
     graded = {}
-    hd_decomp = decompose_hd(rs, a_char)
-    support = sorted({mu for (mu, m) in hd_decomp})
-    highest = classically_highest(graph)
-    graded_ok = True
-    for mu in support:
-        direct = {}
-        for pos in highest:
-            key = hd_key(rs, full_weight(graph, pos))
-            if hd_finite_part(key) == mu:
-                deg = -degree(graph, pos)
-                direct[deg] = direct.get(deg, 0) + 1
-        series = graded_multiplicity(rs, a_char, _coeffs_from_key(rs, mu))
-        graded[mu] = series
-        if series != direct:
-            graded_ok = False
-    checks["graded_multiplicities"] = graded_ok
+    for (mu, m), mult in decompose_hd(rs, a_char).items():
+        graded.setdefault(mu, {})[m] = mult
+    direct = {}
+    for pos in classically_highest(graph):
+        series = direct.setdefault(hd_finite_part(hd_key(rs, full_weight(graph, pos))), {})
+        deg = -degree(graph, pos)
+        series[deg] = series.get(deg, 0) + 1
+    checks["graded_multiplicities"] = graded == direct
 
     if not rs.is_simply_laced:
         ok, _ = short_restriction_identity(rs, lam, graph=graph)
@@ -364,8 +357,3 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
         checks=checks,
         graded=graded,
     )
-
-
-def _coeffs_from_key(rs: RootSystem, key) -> tuple:
-    # finite keys of dominant weights are exactly their coefficient tuples
-    return tuple(int(c) for c in key)

@@ -49,7 +49,8 @@ def demazure_params(rs: RootSystem, level: int, lam_coeffs, m: int = 0) -> Demaz
     target = rs.add(lowest, rs.weight_of((0,) * rs.rank, delta=m, level=level))
     Lam, word = rs.dominantize(target)
     spec = DemazureSpec(rs, level, lam_coeffs, m, Lam, word)
-    assert spec.target == target
+    if spec.target != target:
+        raise AssertionError(f"word {word} does not reach the target {target}")
     return spec
 
 
@@ -98,7 +99,7 @@ def demazure_graph(spec: DemazureSpec, cap: int = NODE_CAP) -> CrystalGraph:
                 if up not in index:
                     raise GenerationError("raising left the Demazure node set")
                 e_edges[(pos, i)] = (index[up], 0)
-    return CrystalGraph(rs, list(nodes), index, f_edges, e_edges, [nodes[0]], tuple(rs.nodes))
+    return CrystalGraph(rs, list(nodes), index, f_edges, e_edges, tuple(rs.nodes))
 
 
 def demazure_character(spec: DemazureSpec, restrict_to_hd: bool = False,
@@ -106,8 +107,7 @@ def demazure_character(spec: DemazureSpec, restrict_to_hd: bool = False,
     """Weight sum over the Demazure crystal's nodes."""
     ch = Character()
     for path in demazure_crystal(spec, cap):
-        key = path.endpoint()
-        ch[key] = ch[key] + 1
+        ch.add_term(path.endpoint(), 1)
     if restrict_to_hd:
         ch = restrict_hd(spec.rs, ch)
     return ch
@@ -121,20 +121,10 @@ def _divided_difference(rs: RootSystem, i: int, ch: Character) -> Character:
         k = key[i]
         if k >= 0:
             for j in range(k + 1):
-                w = rs.sub(key, rs.scale(j, alpha))
-                new = out[w] + coeff
-                if new:
-                    out[w] = new
-                else:
-                    out.pop(w, None)
+                out.add_term(rs.sub(key, rs.scale(j, alpha)), coeff)
         else:
             for j in range(1, -k):
-                w = rs.add(key, rs.scale(j, alpha))
-                new = out[w] - coeff
-                if new:
-                    out[w] = new
-                else:
-                    out.pop(w, None)
+                out.add_term(rs.add(key, rs.scale(j, alpha)), -coeff)
     return out
 
 

@@ -86,20 +86,16 @@ def _finite_tables(letter: str, rank: int):
     raise RootDataError(f"unknown type letter {letter!r}")
 
 
-def solve_exact(matrix, rhs):
-    """Solve a small square linear system by fraction-exact elimination."""
-    n = len(rhs)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+def _minor(matrix, i: int, j: int) -> list:
+    """The matrix without row i and column j."""
+    return [row[:j] + row[j + 1:] for k, row in enumerate(matrix) if k != i]
+
+
+def _det(matrix) -> int:
+    """Integer determinant by cofactor expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum((-1) ** j * a * _det(_minor(matrix, 0, j)) for j, a in enumerate(matrix[0]) if a)
 
 
 def normalize_entry(v):
@@ -115,9 +111,9 @@ def normalize_weight(x) -> Weight:
 class RootSystem:
     """Affine root-system instance for one finite type and rank.
 
-    All derived tables (affine Cartan matrix, root enumerations, the short
-    subsystem bridge) are computed once in the constructor; instances are
-    immutable and shared through :func:`root_system`.
+    All derived tables (affine Cartan matrix, finite Cartan inverse, root
+    enumerations, the short subsystem bridge) are computed once in the
+    constructor; instances are immutable and shared through :func:`root_system`.
     """
 
     def __init__(self, letter: str, rank: int):
@@ -130,6 +126,13 @@ class RootSystem:
         self.r = r
         self.short_nodes = short_nodes
         self._tau = tau
+        # finite Cartan inverse, stored as integer numerators over one
+        # denominator: the adjugate over the determinant
+        self._inv_den = _det(cartan)
+        self._inv_num = tuple(
+            tuple((-1) ** (i + j) * _det(_minor(cartan, j, i)) for j in range(rank))
+            for i in range(rank)
+        )
 
         n = rank
         # affine Cartan: row 0 / column 0 from theta and theta^vee
@@ -289,47 +292,14 @@ class RootSystem:
 
     # -- finite root enumeration ----------------------------------------
 
-    @lru_cache(maxsize=None)
     def positive_roots_alpha(self) -> tuple:
         """Positive finite roots as coefficient tuples on (alpha_1..alpha_n)."""
-        n = self.rank
-        simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        seen = set(simple)
-        frontier = list(simple)
-        while frontier:
-            nxt = []
-            for gamma in frontier:
-                for i in range(1, n + 1):
-                    p = sum(gamma[j] * self.finite_cartan[i - 1][j] for j in range(n))
-                    refl = list(gamma)
-                    refl[i - 1] -= p
-                    refl = tuple(refl)
-                    if all(v >= 0 for v in refl) and refl not in seen:
-                        seen.add(refl)
-                        nxt.append(refl)
-            frontier = nxt
-        return tuple(sorted(seen))
+        return _positive_roots(self.finite_cartan)
 
-    @lru_cache(maxsize=None)
     def positive_coroots(self) -> tuple:
-        """Positive coroots as coefficient tuples on (alpha_1^vee..alpha_n^vee)."""
-        n = self.rank
-        simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        seen = set(simple)
-        frontier = list(simple)
-        while frontier:
-            nxt = []
-            for gv in frontier:
-                for i in range(1, n + 1):
-                    p = sum(gv[j] * self.finite_cartan[j][i - 1] for j in range(n))
-                    refl = list(gv)
-                    refl[i - 1] -= p
-                    refl = tuple(refl)
-                    if all(v >= 0 for v in refl) and refl not in seen:
-                        seen.add(refl)
-                        nxt.append(refl)
-            frontier = nxt
-        return tuple(sorted(seen))
+        """Positive coroots as coefficient tuples on (alpha_1^vee..alpha_n^vee):
+        the positive roots of the transposed Cartan matrix."""
+        return _positive_roots(tuple(zip(*self.finite_cartan)))
 
     def weyl_dimension(self, varpi_coeffs) -> int:
         """Dimension of the irreducible finite-type module, by the product formula."""
@@ -338,13 +308,18 @@ class RootSystem:
         for gv in self.positive_coroots():
             num *= sum(d * (c + 1) for d, c in zip(gv, varpi_coeffs))
             den *= sum(gv)
-        assert num % den == 0
+        if num % den:
+            raise AssertionError(f"Weyl dimension {num}/{den} is not an integer")
         return num // den
 
     def classical_alpha_expand(self, x: Weight):
-        """Coefficients on (alpha_1..alpha_n) of the classical part of x."""
-        rhs = [x[i] for i in self.finite_nodes]
-        return solve_exact(self.finite_cartan, rhs)
+        """Coefficients on (alpha_1..alpha_n) of the classical part of x, read
+        off the stored Cartan inverse; integral entries come out as ints."""
+        den = self._inv_den
+        return tuple(
+            normalize_entry(Fraction(sum(a * x[j] for j, a in enumerate(row, start=1)), den))
+            for row in self._inv_num
+        )
 
     # -- short subsystem -------------------------------------------------
 
@@ -374,7 +349,7 @@ class RootSystem:
         if len(y) != k + 2:
             raise RootDataError("include_sh expects a full short-lattice weight")
         lv = sh.level(y)
-        finite = solve_exact(sh.finite_cartan, [y[j] for j in sh.finite_nodes])
+        finite = sh.classical_alpha_expand(y)
         out = [Fraction(0)] * (self.rank + 2)
         for j, node in enumerate(self.short_nodes):
             alpha = self.simple_root(node)
@@ -409,6 +384,29 @@ class RootSystem:
 
     def to_json(self) -> dict:
         return {"type": self.letter, "rank": self.rank}
+
+
+@lru_cache(maxsize=None)
+def _positive_roots(cartan) -> tuple:
+    """Positive roots of a finite Cartan matrix, as coefficient tuples on the
+    simple roots, by reflecting the simple roots until nothing new appears."""
+    n = len(cartan)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for gamma in frontier:
+            for i in range(n):
+                p = sum(gamma[j] * cartan[i][j] for j in range(n))
+                refl = list(gamma)
+                refl[i] -= p
+                refl = tuple(refl)
+                if all(v >= 0 for v in refl) and refl not in seen:
+                    seen.add(refl)
+                    nxt.append(refl)
+        frontier = nxt
+    return tuple(sorted(seen))
 
 
 @lru_cache(maxsize=None)

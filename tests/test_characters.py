@@ -90,9 +90,9 @@ def test_finite_char_weyl_invariance():
 def test_graded_multiplicity_identity_cases():
     mu = (1, 1)
     base = Character({k + (0,): v for k, v in CH.finite_char(C2, mu).items()})
-    assert CH.graded_multiplicity(C2, base, mu) == {0: 1}
+    assert CH.decompose_hd(C2, base) == {(mu, 0): 1}
     shifted = Character({k[:-1] + (3,): v for k, v in base.items()})
-    assert CH.graded_multiplicity(C2, shifted, mu) == {3: 1}
+    assert CH.decompose_hd(C2, shifted) == {(mu, 3): 1}
 
 
 def test_graded_multiplicity_mass_conservation():

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from pathcrystals import cli
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, argv):
@@ -71,6 +77,24 @@ def test_selftest_runs(capsys):
     code, out, _ = run(capsys, ["selftest", "--type", "G", "--rank", "2", "--seed", "5"])
     assert code == 0
     assert json.loads(out)["ok"]
+
+
+def test_selftest_checks_survive_python_O():
+    # with lowering sabotaged, selftest must fail even when asserts are stripped
+    code = (
+        "import sys; from pathcrystals import cli, paths; "
+        "paths.f_op = lambda rs, i, path: None; "
+        "sys.exit(cli.main(['selftest', '--type', 'A', '--rank', '2']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "check failed" in proc.stderr
 
 
 def test_deterministic_output(capsys):

@@ -50,6 +50,15 @@ def test_unnormalized_level_zero_blows_past_cap():
 
 # -- anchored level-zero generation ------------------------------------------
 
+def test_level_zero_cached_honours_the_cap_on_a_hit():
+    lam = C2.weight_of((1, 1))
+    graph = C.level_zero_cached(C2, lam)
+    assert len(graph) > 5
+    with pytest.raises(C.GenerationError, match="node cap 5 exceeded"):
+        C.level_zero_cached(C2, lam, 5)
+    assert C.level_zero_cached(C2, lam, len(graph)) is graph
+
+
 def test_level_zero_a1_fundamental():
     g = C.generate_level_zero(A1, A1.varpi(1))
     assert len(g) == 2

@@ -1,5 +1,6 @@
 import pytest
 
+from pathcrystals import characters as CH
 from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
 from pathcrystals import paths as P
@@ -337,3 +338,54 @@ def test_anchored_initial_directions_live_in_finite_orbit():
         orbit = finite_orbit(rs, lam)
         for path in C.generate_level_zero(rs, lam).nodes:
             assert path.initial_direction() in orbit
+
+
+# -- one-pass argmax picks against the pairwise scans they replaced -----------
+
+MAIN_CASES = [(C2, (2, 0)), (C2, (1, 1)), (C2, (2, 1)), (G2, (0, 2)), (G2, (1, 1))]
+
+
+def _decompose_hd_pairwise(rs, ch):
+    """decompose_hd stripping the last sorted key that no other key lies above."""
+    slices = {}
+    for key, v in ch.items():
+        slices.setdefault(key[-1], Character())[key[:-1]] = v
+    out = {}
+    for m, residue in sorted(slices.items()):
+        while residue:
+            keys = sorted(residue)
+            maximal = [
+                k for k in keys if not any(k2 != k and CH.in_q_plus(rs, k2, k) for k2 in keys)
+            ]
+            top = maximal[-1]
+            mult = residue[top]
+            residue = residue.added(CH.finite_char(rs, top).scaled(mult), sign=-1)
+            out[(top, m)] = out.get((top, m), 0) + mult
+    return out
+
+
+def _pairwise_top_key(rs, keys):
+    """The key of a component that dominates all of them, by pairwise scan."""
+    maxima = [k for k in set(keys) if all(CH.dominance_leq(rs, k2, k) for k2 in keys)]
+    assert len(maxima) == 1 and keys.count(maxima[0]) == 1
+    return maxima[0]
+
+
+@pytest.mark.parametrize("rs,coeffs", MAIN_CASES, ids=lambda v: str(v))
+def test_argmax_picks_match_pairwise_scans(rs, coeffs):
+    lam = rs.weight_of(coeffs)
+    graph = C.level_zero_cached(rs, lam)
+    a_char = DC.path_side_char(rs, lam, graph=graph)
+    # the same picks in the same order
+    picks = list(CH.decompose_hd(rs, a_char).items())
+    assert picks == list(_decompose_hd_pairwise(rs, a_char).items())
+    for comp in DC.decompose_tensor_image(rs, lam, graph=graph).components:
+        keys = [hd_key(rs, C.full_weight(graph, pos)) for pos in comp.members]
+        assert _pairwise_top_key(rs, keys) == comp.mu_coeffs + (comp.n,)
+
+
+def test_tensor_image_rejects_a_repeated_top_key(monkeypatch):
+    # every element reads the same key, so no component top occurs exactly once
+    monkeypatch.setattr(DC, "hd_key", lambda rs, x: (0, 0, 0))
+    with pytest.raises(DC.DecompositionError, match="not unique"):
+        DC.decompose_tensor_image(C2, C2.weight_of((1, 0)))

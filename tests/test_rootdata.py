@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import affine_orbit_bounded, finite_orbit
-from pathcrystals.rootdata import RootDataError, root_system
+from pathcrystals.rootdata import RootDataError, normalize_weight, root_system
 
 A1 = root_system("A", 1)
 G2 = root_system("G", 2)
@@ -205,3 +206,34 @@ def test_d_offset_membership_in_affine_orbit():
     shifted = {w[-1] for w in reachable if w[:-1] == lam[:-1]}
     assert 2 in shifted or -2 in shifted
     assert 1 not in shifted and -1 not in shifted
+
+
+def solve_exact(matrix, rhs):
+    """Solve a small square linear system by fraction-exact elimination; the
+    per-call expansion that the stored Cartan inverse replaced."""
+    n = len(rhs)
+    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return tuple(a[i][n] for i in range(n))
+
+
+def test_alpha_expand_matches_elimination(any_rs):
+    # the stored Cartan inverse against a fresh elimination per input
+    rng = random.Random(f"{any_rs.letter}{any_rs.rank}")
+    for k in range(60):
+        if k % 2:
+            x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in any_rs.nodes)
+        else:
+            x = tuple(rng.randint(-5, 5) for _ in any_rs.nodes)
+        got = any_rs.classical_alpha_expand(x)
+        want = normalize_weight(solve_exact(any_rs.finite_cartan, x[1:]))
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
