@@ -214,7 +214,8 @@ def decompose_finite(rs: RootSystem, ch: Character) -> dict:
         mult = residue[top]
         if mult < 0:
             raise CharacterError(f"negative multiplicity at {top}")
-        residue = residue.added(finite_char(rs, top).scaled(mult), sign=-1)
+        for key, coeff in finite_char(rs, top).items():
+            residue.add_term(key, -mult * coeff)
         if any(v < 0 for v in residue.values()):
             raise CharacterError(f"negative residue after stripping {top}")
         out[top] = out.get(top, 0) + mult
@@ -280,7 +281,8 @@ def peel_demazure(rs: RootSystem, ch: Character, char_of, tie_break=None):
         nu = hd_finite_part(top)
         m = hd_delta(top)
         out.append((nu, m, mult))
-        residue = residue.added(char_of(nu, m).scaled(mult), sign=-1)
+        for key, coeff in char_of(nu, m).items():
+            residue.add_term(key, -mult * coeff)
         if any(v < 0 for v in residue.values()):
             raise CharacterError(
                 f"negative residue after stripping block {(nu, m)}: {dict(residue)}"

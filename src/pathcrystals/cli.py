@@ -69,12 +69,16 @@ def cmd_crystal(args):
     if args.format == "dot":
         print(C.graph_to_dot(graph))
         return EXIT_OK
-    rows = [("node", "degree", "full_weight")]
-    for pos, path in enumerate(graph.nodes):
-        rows.append((C.node_id(path), C.degree(graph, pos), list(path.endpoint())))
+    if args.format == "tsv":
+        rows = [("node", "degree", "full_weight")]
+        for path in graph.nodes:
+            weight = path.endpoint()
+            rows.append((C.node_id(path), -weight[-1], list(weight)))
+        _emit(None, args.format, rows)
+        return EXIT_OK
     payload = C.graph_to_json(graph, with_degrees=True)
     payload["size"] = len(graph)
-    _emit(payload, args.format, rows)
+    _emit(payload, args.format)
     return EXIT_OK
 
 
@@ -153,6 +157,8 @@ def cmd_verify(args):
         )
         if not rep.ok:
             status = EXIT_MISMATCH
+            for line in rep.details:
+                print(f"verify {list(coeffs)}: {line}", file=sys.stderr)
     rows = [("weight", "check", "pass")]
     for rep in reports:
         for name, value in rep["checks"].items():

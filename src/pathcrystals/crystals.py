@@ -201,30 +201,27 @@ def node_id(path: P.Path) -> str:
 
 
 def graph_to_json(graph: CrystalGraph, with_degrees: bool = False) -> dict:
+    ids = [node_id(path) for path in graph.nodes]
     nodes = []
     for pos, path in enumerate(graph.nodes):
-        rec = {
-            "id": node_id(path),
-            "weight": list(path.endpoint()),
-            "path": P.path_to_json(path),
-        }
+        weight = path.endpoint()
+        rec = {"id": ids[pos], "weight": list(weight), "path": P.path_to_json(path)}
         if with_degrees:
-            rec["degree"] = degree(graph, pos)
+            rec["degree"] = -weight[-1]
         nodes.append(rec)
     edges = [
-        {"source": node_id(graph.nodes[pos]), "node": i, "target": node_id(graph.nodes[tgt])}
+        {"source": ids[pos], "node": i, "target": ids[tgt]}
         for (pos, i), (tgt, _) in sorted(graph.f_edges.items())
     ]
     return {"nodes": nodes, "edges": edges}
 
 
 def graph_to_dot(graph: CrystalGraph) -> str:
+    ids = [node_id(path) for path in graph.nodes]
     lines = ["digraph crystal {"]
-    for path in graph.nodes:
-        lines.append(f'  "{node_id(path)}" [label="{list(path.endpoint())}"];')
+    for pos, path in enumerate(graph.nodes):
+        lines.append(f'  "{ids[pos]}" [label="{list(path.endpoint())}"];')
     for (pos, i), (tgt, _) in sorted(graph.f_edges.items()):
-        lines.append(
-            f'  "{node_id(graph.nodes[pos])}" -> "{node_id(graph.nodes[tgt])}" [label="{i}"];'
-        )
+        lines.append(f'  "{ids[pos]}" -> "{ids[tgt]}" [label="{i}"];')
     lines.append("}")
     return "\n".join(lines)

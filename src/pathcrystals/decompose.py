@@ -10,7 +10,7 @@ headline checks are (a) = (b) as characters and (b) = (c) as multisets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -243,19 +243,22 @@ def filtration_char(rs: RootSystem, filtration) -> Character:
 
 
 def short_restriction_identity(rs: RootSystem, lam: Weight,
-                               graph: CrystalGraph | None = None):
+                               a_char: Character | None = None):
     """Both short-projection identities, reported as (ok, detail lines).
 
     First: the part of the path-side sum supported below lam along short
     roots equals the transported level-one short block character.  Second:
     the same projection applied to the full level-one block character equals
-    the transported level-r short block character.
+    the transported level-r short block character.  ``a_char`` is the
+    route (a) character of lam; it is built when not given.
     """
     lines = []
     ok = True
     lam_prime_key = lam_prime_hd(rs, lam)
 
-    lhs = path_side_char(rs, lam, graph=graph).projected(hd_below_short(rs, lam))
+    if a_char is None:
+        a_char = path_side_char(rs, lam)
+    lhs = a_char.projected(hd_below_short(rs, lam))
     rhs = i_sh_char(rs, short_level_one_char(rs, lam)).shifted(lam_prime_key)
     if lhs != rhs:
         ok = False
@@ -296,6 +299,7 @@ class VerifyReport:
     image_multiset: list
     checks: dict
     graded: dict
+    details: list = field(default_factory=list)  # why a check failed
 
     @property
     def ok(self) -> bool:
@@ -344,8 +348,9 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
         series[deg] = series.get(deg, 0) + 1
     checks["graded_multiplicities"] = graded == direct
 
+    details = []
     if not rs.is_simply_laced:
-        ok, _ = short_restriction_identity(rs, lam, graph=graph)
+        ok, details = short_restriction_identity(rs, lam, a_char)
         checks["short_restriction"] = ok
 
     return VerifyReport(
@@ -356,4 +361,5 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
         image_multiset=image.multiset(),
         checks=checks,
         graded=graded,
+        details=details,
     )

@@ -1,48 +1,78 @@
 """Piecewise-linear paths and the root operators acting on them.
 
 A path is stored by its expression: a sequence of direction weights and the
-strictly increasing rational breakpoints where the direction changes.  Two
+strictly increasing breakpoints where the direction changes.  Breakpoints
+are integer time numerators ``ts`` over the path's scale ``ts[-1]``, reduced
+so that ``gcd(ts) == 1``; ``sigmas`` gives them back as fractions.  Two
 paths are equal exactly when their canonical forms agree (zero-length
-segments dropped, equal adjacent directions merged), which makes paths
-hashable and crystal generation a plain set closure.
+segments dropped, equal adjacent directions merged, times reduced), which
+makes paths hashable and crystal generation a plain set closure.
 
-All breakpoint arithmetic is exact: the times where a pairing profile
-crosses an integer level are rational and computed as such; no tolerances
-appear anywhere.
+Each path computes its cumulative vertex numerators once, when it is built:
+``hs[p][k]`` is ``scale`` times coordinate ``p`` of the path at its k-th
+vertex (``hs[p][0] == 0``).  The pairing profile H_i is the column
+``hs[i]``, so the root operators compare integers and test integrality as
+``v % scale == 0``.  A level crossing strictly inside a segment is made a
+breakpoint by rescaling the whole path, so all arithmetic stays exact; no
+tolerances appear anywhere.  Directions may have fractional entries, in
+which case the numerators are fractions and the same code runs on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .rootdata import RootSystem, Weight, normalize_weight
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class PathError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Path:
-    """Canonical expression (mu_1..mu_N; sigma_1 < ... < sigma_N = 1).
+    """Canonical expression (mu_1..mu_N; t_1 < ... < t_N = scale).
 
-    ``sigmas`` holds the right endpoint of each segment; the left endpoint of
-    the first segment is 0.  Directions are weight tuples of the ambient
-    lattice (with or without the null-root entry).
+    Segment k runs from time ``ts[k-1] / scale`` (0 for the first) to
+    ``ts[k] / scale`` in direction ``dirs[k]``.  Directions are weight
+    tuples of the ambient lattice (with or without the null-root entry).
+    Build paths with :func:`make_path` or the operators; the constructor
+    takes an expression that is already canonical.
     """
 
-    dirs: tuple
-    sigmas: tuple
+    __slots__ = ("dirs", "ts", "hs")
 
-    def __post_init__(self):
-        if len(self.dirs) != len(self.sigmas) or not self.dirs:
-            raise PathError("expression lengths differ or are empty")
-        if self.sigmas[-1] != 1:
-            raise PathError("final breakpoint must be 1")
+    def __init__(self, dirs: tuple, ts: tuple):
+        self.dirs = dirs
+        self.ts = ts
+        acc = [0] * len(dirs[0])
+        rows = [acc]
+        prev = 0
+        for mu, t in zip(dirs, ts):
+            dt = t - prev
+            acc = [a + dt * c for a, c in zip(acc, mu)]
+            rows.append(acc)
+            prev = t
+        self.hs = tuple(zip(*rows))
+
+    def __eq__(self, other):
+        if not isinstance(other, Path):
+            return NotImplemented
+        return self.ts == other.ts and self.dirs == other.dirs
+
+    def __hash__(self):
+        return hash((self.dirs, self.ts))
+
+    def __repr__(self):
+        return f"Path(dirs={self.dirs!r}, ts={self.ts!r})"
+
+    @property
+    def sigmas(self) -> tuple:
+        """The breakpoints as reduced fractions of the unit interval."""
+        scale = self.ts[-1]
+        return tuple(Fraction(t, scale) for t in self.ts)
 
     def value(self, t) -> tuple:
         """pi(t), exactly."""
@@ -59,64 +89,105 @@ class Path:
         return tuple(acc)
 
     def endpoint(self) -> Weight:
-        return normalize_weight(self.value(ONE))
+        scale = self.ts[-1]
+        return tuple(_over(col[-1], scale) for col in self.hs)
 
     def initial_direction(self) -> Weight:
         return self.dirs[0]
 
 
+def _over(v, scale):
+    """v / scale as an int when it is integral, else as a Fraction."""
+    if v % scale == 0:
+        return int(v // scale)
+    return Fraction(v, scale)
+
+
+def _time(path: Path, k: int):
+    """Numerator of the k-th vertex time (vertex 0 is t = 0)."""
+    return path.ts[k - 1] if k else 0
+
+
+def _canonical(dirs, ts) -> Path:
+    """Drop empty segments, merge equal neighbours and reduce the times.
+
+    ``dirs`` must be normalized and ``ts`` nondecreasing nonnegative ints.
+    """
+    out_dirs = []
+    out_ts = []
+    prev = 0
+    for mu, t in zip(dirs, ts):
+        if t == prev:
+            continue
+        if out_dirs and out_dirs[-1] == mu:
+            out_ts[-1] = t
+        else:
+            out_dirs.append(mu)
+            out_ts.append(t)
+        prev = t
+    if not out_dirs:
+        raise PathError("empty path expression")
+    g = gcd(*out_ts)
+    if g > 1:
+        out_ts = [t // g for t in out_ts]
+    return Path(tuple(out_dirs), tuple(out_ts))
+
+
 def make_path(dirs, sigmas) -> Path:
     """Canonicalize an expression: drop empty segments, merge equal neighbours."""
     out_dirs = []
-    out_sigmas = []
+    fracs = []
     prev = ZERO
     for mu, s in zip(dirs, sigmas):
         s = Fraction(s)
         if s < prev:
             raise PathError("breakpoints must be nondecreasing")
-        if s == prev:
-            continue
-        mu = normalize_weight(mu)
-        if out_dirs and out_dirs[-1] == mu:
-            out_sigmas[-1] = s
-        else:
-            out_dirs.append(mu)
-            out_sigmas.append(s)
+        out_dirs.append(normalize_weight(mu))
+        fracs.append(s)
         prev = s
-    if not out_dirs:
+    if prev == 0:
         raise PathError("empty path expression")
-    return Path(tuple(out_dirs), tuple(out_sigmas))
+    if prev != 1:
+        raise PathError("final breakpoint must be 1")
+    scale = lcm(*(s.denominator for s in fracs))
+    ts = [s.numerator * (scale // s.denominator) for s in fracs]
+    return _canonical(out_dirs, ts)
 
 
 def straight(weight: Weight) -> Path:
     """The straight-line path t |-> t * weight (also used for weight 0)."""
-    return Path((normalize_weight(weight),), (ONE,))
+    return Path((normalize_weight(weight),), (1,))
 
 
 def shift(path: Path, weight: Weight) -> Path:
     """Add the straight-line path of ``weight`` pointwise."""
-    dirs = [tuple(a + b for a, b in zip(mu, weight)) for mu in path.dirs]
-    return make_path(dirs, path.sigmas)
+    # adding one weight to every direction keeps neighbours distinct
+    dirs = tuple(normalize_weight([a + b for a, b in zip(mu, weight)]) for mu in path.dirs)
+    return Path(dirs, path.ts)
 
 
 def concat(p1: Path, p2: Path) -> Path:
     """Concatenation: p1 traversed on [0, 1/2], then p2 from p1's endpoint.
 
     Each factor runs at double speed, so directions double while the
-    breakpoints compress into the half-intervals.
+    breakpoints compress into the half-intervals, over the lcm of the two
+    scales.
     """
     if len(p1.dirs[0]) != len(p2.dirs[0]):
         raise PathError("concatenation needs a common lattice")
-    dirs = [tuple(2 * c for c in mu) for mu in p1.dirs + p2.dirs]
-    sigmas = [s / 2 for s in p1.sigmas] + [(1 + s) / 2 for s in p2.sigmas]
-    return make_path(dirs, sigmas)
+    dirs = [normalize_weight([2 * c for c in mu]) for mu in p1.dirs + p2.dirs]
+    scale = lcm(p1.ts[-1], p2.ts[-1])
+    c1 = scale // p1.ts[-1]
+    c2 = scale // p2.ts[-1]
+    ts = [t * c1 for t in p1.ts] + [scale + t * c2 for t in p2.ts]
+    return _canonical(dirs, ts)
 
 
 def cl_path(rs: RootSystem, path: Path) -> Path:
     """Project every direction along cl (drop the null-root entry)."""
     if rs.is_cl(path.dirs[0]):
         return path
-    return make_path([mu[:-1] for mu in path.dirs], path.sigmas)
+    return _canonical([mu[:-1] for mu in path.dirs], path.ts)
 
 
 # -- pairing profiles ----------------------------------------------------
@@ -124,150 +195,133 @@ def cl_path(rs: RootSystem, path: Path) -> Path:
 def h_profile(rs: RootSystem, path: Path, i: int):
     """Breakpoint values of H_i: pairs (t, <pi(t), alpha_i^vee>) at 0 and
     every sigma.  H_i is linear in between, so these determine it."""
-    vals = [(ZERO, ZERO)]
-    h = ZERO
-    prev = ZERO
-    for mu, s in zip(path.dirs, path.sigmas):
-        h += (s - prev) * mu[i]
-        vals.append((s, h))
-        prev = s
-    return vals
+    scale = path.ts[-1]
+    return [
+        (Fraction(t, scale), Fraction(v, scale))
+        for t, v in zip((0,) + path.ts, path.hs[i])
+    ]
+
 
 def min_h(rs: RootSystem, path: Path, i: int):
-    return min(v for _, v in h_profile(rs, path, i))
+    return _over(min(path.hs[i]), path.ts[-1])
 
 
-def _local_min_values(profile):
-    """Values of the local minima of a breakpoint profile.
+def _axis_integral(col, scale) -> bool:
+    """Every local minimum of the vertex column is a multiple of ``scale``.
 
     t = 0 always counts (value 0); t = 1 counts when the last nonconstant
-    stretch descends; an interior breakpoint counts when the surrounding
+    stretch descends; an interior vertex counts when the surrounding
     nonconstant stretches descend then ascend.
     """
-    compressed = [profile[0][1]]
-    for _, v in profile[1:]:
-        if v != compressed[-1]:
-            compressed.append(v)
-    mins = [compressed[0]]
-    for k in range(1, len(compressed) - 1):
-        if compressed[k - 1] > compressed[k] < compressed[k + 1]:
-            mins.append(compressed[k])
-    if len(compressed) > 1 and compressed[-2] > compressed[-1]:
-        mins.append(compressed[-1])
-    return mins
+    prev = col[0]
+    descending = False
+    for v in col:
+        if v < prev:
+            descending = True
+        elif v > prev:
+            if descending and prev % scale:
+                return False
+            descending = False
+        prev = v
+    return not (descending and prev % scale)
 
 
 def is_integral(rs: RootSystem, path: Path) -> bool:
     """Every local minimum of every H_i is an integer."""
-    for i in rs.nodes:
-        for v in _local_min_values(h_profile(rs, path, i)):
-            if Fraction(v).denominator != 1:
-                return False
-    return True
+    scale = path.ts[-1]
+    return all(_axis_integral(path.hs[i], scale) for i in rs.nodes)
 
 
-def _require_axis_integral(rs, path, i, profile):
-    for v in _local_min_values(profile):
-        if Fraction(v).denominator != 1:
-            raise PathError(f"path is not integral along node {i}")
+def _integral_column(path: Path, i: int):
+    col = path.hs[i]
+    if not _axis_integral(col, path.ts[-1]):
+        raise PathError(f"path is not integral along node {i}")
+    return col
 
 
-def _last_time_at_level(profile, level, limit):
-    """max{t <= limit : H(t) = level}; the profile must attain it."""
-    best = None
-    for k in range(1, len(profile)):
-        (t0, v0), (t1, v1) = profile[k - 1], profile[k]
-        if t0 > limit:
-            break
-        hi = min(t1, limit)
-        if v1 == level and t1 <= limit:
-            best = t1
-        if v0 == level:
-            best = max(best, t0) if best is not None else t0
-        if (v0 < level < v1) or (v1 < level < v0):
-            cross = t0 + (level - v0) * (t1 - t0) / (v1 - v0)
-            if cross <= hi:
-                best = max(best, cross) if best is not None else cross
-    if best is None and profile[0][1] == level:
-        best = ZERO
-    if best is None:
-        raise PathError("level not attained")
-    return best
+def _crossing(path: Path, k: int, level, i: int):
+    """Where H_i reaches ``level`` on segment k (from vertex k to k+1).
+
+    Returns (g, t): the path's times scaled by g make the crossing the
+    integer time t; g = |slope| / gcd(level - v, slope) when it falls
+    strictly between breakpoints, else 1.
+    """
+    num = level - path.hs[i][k]
+    slope = path.dirs[k][i]
+    start = _time(path, k)
+    if type(num) is int and type(slope) is int:
+        step, rem = divmod(num, slope)
+        if not rem:
+            return 1, start + step
+        g = abs(slope) // gcd(num, slope)
+        return g, start * g + num * g // slope
+    q = Fraction(num) / slope
+    g = q.denominator
+    return g, start * g + q.numerator
 
 
-def _first_time_at_level(profile, level, start):
-    """min{t >= start : H(t) = level}; the profile must attain it."""
-    for k in range(1, len(profile)):
-        (t0, v0), (t1, v1) = profile[k - 1], profile[k]
-        if t1 < start:
-            continue
-        if v0 == level and t0 >= start:
-            return t0
-        if (v0 < level < v1) or (v1 < level < v0):
-            cross = t0 + (level - v0) * (t1 - t0) / (v1 - v0)
-            if cross >= start:
-                return cross
-        if v1 == level and t1 >= start:
-            return t1
-    raise PathError("level not attained")
-
-
-def _rebuild(rs, path, i, t0, t1):
-    """Copy ``path`` with the stretch (t0, t1) reflected by s_i."""
-    cl = rs.is_cl(path.dirs[0])
+def _reflected(rs: RootSystem, path: Path, i: int, g: int, a, b) -> Path:
+    """Copy ``path``, times scaled by g, with the stretch (a, b] reflected
+    by s_i; one pass over the segments."""
     dirs = []
-    sigmas = []
-    prev = ZERO
-    cuts = sorted(set(path.sigmas) | {t0, t1})
-    for s in cuts:
-        if s <= ZERO or s > ONE:
-            continue
-        # direction of the original path on (prev, s]
-        for mu, sp in zip(path.dirs, path.sigmas):
-            if sp > prev:
-                seg_dir = mu
-                break
-        if t0 < s <= t1:
-            seg_dir = rs.reflect(i, seg_dir)
-        dirs.append(seg_dir)
-        sigmas.append(s)
-        prev = s
-    return make_path(dirs, sigmas)
+    ts = []
+    prev = 0
+    for mu, t in zip(path.dirs, path.ts):
+        t *= g
+        if prev < a:
+            dirs.append(mu)
+            ts.append(min(t, a))
+        if t > a and prev < b:
+            dirs.append(rs.reflect(i, mu))
+            ts.append(min(t, b))
+        if t > b:
+            dirs.append(mu)
+            ts.append(t)
+        prev = t
+    return _canonical(dirs, ts)
 
 
 def e_op(rs: RootSystem, i: int, path: Path):
     """Raising root operator; None when the minimum of H_i is 0."""
-    profile = h_profile(rs, path, i)
-    _require_axis_integral(rs, path, i, profile)
-    m = min(v for _, v in profile)
+    col = _integral_column(path, i)
+    m = min(col)
     if m >= 0:
         return None
-    t1 = next(t for t, v in profile if v == m)
-    t0 = _last_time_at_level(profile, m + 1, t1)
-    return _rebuild(rs, path, i, t0, t1)
+    k1 = col.index(m)
+    level = m + path.ts[-1]
+    # last time before the first minimum at which H_i equals m + 1
+    k = k1 - 1
+    while col[k] < level:
+        k -= 1
+    g, t0 = _crossing(path, k, level, i)
+    return _reflected(rs, path, i, g, t0, _time(path, k1) * g)
 
 
 def f_op(rs: RootSystem, i: int, path: Path):
     """Lowering root operator; None when H_i(1) equals the minimum."""
-    profile = h_profile(rs, path, i)
-    _require_axis_integral(rs, path, i, profile)
-    m = min(v for _, v in profile)
-    if profile[-1][1] < m + 1:
+    col = _integral_column(path, i)
+    m = min(col)
+    level = m + path.ts[-1]
+    if col[-1] < level:
         return None
-    t0 = max(t for t, v in profile if v == m)
-    t1 = _first_time_at_level(profile, m + 1, t0)
-    return _rebuild(rs, path, i, t0, t1)
+    k0 = len(col) - 1 - col[::-1].index(m)
+    # first time after the last minimum at which H_i equals m + 1
+    k = k0 + 1
+    while col[k] < level:
+        k += 1
+    g, t1 = _crossing(path, k - 1, level, i)
+    return _reflected(rs, path, i, g, _time(path, k0) * g, t1)
 
 
 def eps_phi(rs: RootSystem, i: int, path: Path):
     """(number of applicable raisings, number of applicable lowerings)."""
-    profile = h_profile(rs, path, i)
-    _require_axis_integral(rs, path, i, profile)
-    m = min(v for _, v in profile)
-    phi = profile[-1][1] - m
-    if Fraction(phi).denominator != 1:
+    col = _integral_column(path, i)
+    scale = path.ts[-1]
+    m = min(col)
+    phi = col[-1] - m
+    if phi % scale:
         raise PathError(f"endpoint pairing at node {i} is not integral")
-    return int(-m), int(phi)
+    return int(-m // scale), int(phi // scale)
 
 
 def s_op(rs: RootSystem, i: int, path: Path) -> Path:
@@ -300,9 +354,9 @@ def path_to_json(path: Path) -> list:
 
 
 def path_from_json(records) -> Path:
-    dirs = [tuple(rec["direction"]) for rec in records]
+    dirs = [normalize_weight(rec["direction"]) for rec in records]
     sigmas = [Fraction(rec["sigma"]) for rec in records]
-    path = Path(tuple(normalize_weight(d) for d in dirs), tuple(sigmas))
-    if make_path(dirs, sigmas) != path:
+    path = make_path(dirs, sigmas)
+    if list(path.dirs) != dirs or list(path.sigmas) != sigmas:
         raise PathError("input expression is not in canonical form")
     return path

@@ -99,7 +99,7 @@ def _det(matrix) -> int:
 
 
 def normalize_entry(v):
-    if isinstance(v, Fraction):
+    if type(v) is not int and isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else v
     return v
 
@@ -145,6 +145,12 @@ class RootSystem:
             chat[0][j] = -sum(comarks[i - 1] * cartan[i - 1][j - 1] for i in range(1, n + 1))
             chat[j][0] = -sum(marks[i - 1] * cartan[j - 1][i - 1] for i in range(1, n + 1))
         self.cartan = tuple(tuple(row) for row in chat)
+        # alpha_i as columns of the affine Cartan matrix, keyed by cl
+        self._alphas = {
+            cl: tuple(tuple(row[i] for row in self.cartan) + (() if cl else (int(i == 0),))
+                      for i in range(n + 1))
+            for cl in (False, True)
+        }
 
         for i in range(n + 1):
             for j in range(n + 1):
@@ -181,10 +187,7 @@ class RootSystem:
         """alpha_i in the fundamental-weight basis; delta entry 1 iff i == 0."""
         if i not in self.nodes:
             raise RootDataError(f"unknown node index {i}")
-        col = [self.cartan[k][i] for k in self.nodes]
-        if not cl:
-            col.append(1 if i == 0 else 0)
-        return tuple(col)
+        return self._alphas[cl][i]
 
     def fundamental(self, i: int) -> Weight:
         if i not in self.nodes:

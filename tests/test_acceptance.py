@@ -211,7 +211,7 @@ def test_criterion_09_short_subalgebra_identities():
     for (letter, rank), coeffs in MAIN_CASES:
         rs = root_system(letter, rank)
         lam = rs.weight_of(coeffs)
-        ok, lines = DC.short_restriction_identity(rs, lam, graph=level_zero_cached(rs, lam))
+        ok, lines = DC.short_restriction_identity(rs, lam, a_char=path_char(rs, lam))
         report(9, f"{letter}{rank} {coeffs} restriction identity", ok)
     for letter, rank in [("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("F", 4), ("G", 2)]:
         rs = root_system(letter, rank)

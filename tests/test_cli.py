@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from pathcrystals import cli
+from pathcrystals import decompose as DC
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -37,6 +38,14 @@ def test_verify_pass_matrix(capsys):
     payload = json.loads(out)
     assert payload["reports"][0]["ok"]
     assert all(payload["reports"][0]["checks"].values())
+
+
+def test_verify_failure_prints_details_on_stderr(capsys, monkeypatch):
+    monkeypatch.setattr(DC, "hd_below_short", lambda rs, lam: lambda key: True)
+    code, out, err = run(capsys, ["verify", "--type", "C", "--rank", "2", "--weight", "1,0"])
+    assert code == 2
+    assert json.loads(out)["reports"][0]["checks"]["short_restriction"] is False
+    assert "verify [1, 0]: path-side projection differs: {" in err
 
 
 def test_verify_weight_list(capsys):

@@ -263,6 +263,28 @@ def test_verify_main_fundamentals_agree_three_ways():
         assert rep.image_multiset == [(coeffs, 0)]
 
 
+def test_verify_main_builds_route_a_once(monkeypatch):
+    calls = []
+    build = DC.path_side_char
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(DC, "path_side_char", counted)
+    rep = DC.verify_main(C2, C2.weight_of((1, 0)))
+    assert rep.ok and rep.details == []
+    assert len(calls) == 1
+
+
+def test_verify_main_keeps_failure_details(monkeypatch):
+    # every key counts as below lam, so the path-side projection keeps too much
+    monkeypatch.setattr(DC, "hd_below_short", lambda rs, lam: lambda key: True)
+    rep = DC.verify_main(C2, C2.weight_of((1, 0)))
+    assert not rep.checks["short_restriction"]
+    assert rep.details and rep.details[0].startswith("path-side projection differs")
+
+
 def test_verify_main_reports_graded_series():
     rep = DC.verify_main(C2, C2.weight_of((2, 0)))
     assert rep.ok

@@ -5,28 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathcrystals import paths as P
+from pathcrystals.cli import random_integral_path
 from pathcrystals.rootdata import root_system
 
 A1 = root_system("A", 1)
 A2 = root_system("A", 2)
 C2 = root_system("C", 2)
 G2 = root_system("G", 2)
-
-
-def random_integral_path(rs, rng, ops=3):
-    pieces = []
-    for _ in range(rng.randint(1, 3)):
-        coeffs = [rng.randint(-2, 2) for _ in range(rs.rank)]
-        pieces.append(P.straight(rs.weight_of(coeffs, delta=rng.randint(-1, 1))))
-    path = pieces[0]
-    for piece in pieces[1:]:
-        path = P.concat(path, piece)
-    for _ in range(rng.randint(0, ops)):
-        i = rng.choice(list(rs.nodes))
-        nxt = P.f_op(rs, i, path) if rng.random() < 0.5 else P.e_op(rs, i, path)
-        if nxt is not None:
-            path = nxt
-    return path
 
 
 # -- canonical form ---------------------------------------------------------
@@ -76,6 +61,19 @@ def test_integrality_closed_under_operators():
         rs = rng.choice([A1, A2, C2])
         path = random_integral_path(rs, rng)
         assert P.is_integral(rs, path)
+
+
+def test_integral_directions_keep_integer_numerators():
+    # times, vertex numerators and operator results stay ints, so the
+    # kernel does no Fraction arithmetic on integral directions
+    rng = random.Random(11)
+    for _ in range(60):
+        rs = rng.choice([A2, C2, G2])
+        path = random_integral_path(rs, rng)
+        for out in [path] + [op(rs, i, path) for i in rs.nodes for op in (P.e_op, P.f_op)]:
+            if out is not None:
+                assert all(type(t) is int for t in out.ts)
+                assert all(type(v) is int for col in out.hs for v in col)
 
 
 def test_non_integral_input_raises():
