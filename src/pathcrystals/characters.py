@@ -156,18 +156,9 @@ def hd_below_short(rs: RootSystem, lam: Weight):
 # -- the short-lattice character pushforward ---------------------------------
 
 def i_sh_hd(rs: RootSystem, key) -> tuple:
-    """Push a restricted key of the short system through the splitting.
-
-    The finite part is expanded over the short simple roots and re-read as
-    pairings in the ambient system; the grading entry is carried across.
-    """
-    sh = rs.short_system()
-    finite = sh.classical_alpha_expand((0,) + tuple(key[:-1]))
-    pair = [Fraction(0)] * rs.rank
-    for j, node in enumerate(rs.short_nodes):
-        for i in rs.finite_nodes:
-            pair[i - 1] += finite[j] * rs.cartan[i][node]
-    return normalize_weight(tuple(pair) + (key[-1],))
+    """Push a restricted key of the short system through the splitting
+    ``RootSystem.include_sh``; the grading entry is carried across."""
+    return hd_key(rs, rs.include_sh((0,) + tuple(key)))
 
 
 def i_sh_char(rs: RootSystem, ch: Character) -> Character:

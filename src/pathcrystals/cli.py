@@ -23,7 +23,7 @@ from . import crystals as C
 from . import decompose as DC
 from . import paths as P
 from .characters import char_to_json
-from .demazure import demazure_character, demazure_params
+from .demazure import demazure_character, demazure_graph, demazure_params
 from .rootdata import RootDataError, root_system
 
 SUPPORTED = {
@@ -86,6 +86,9 @@ def cmd_demazure(args):
     rs = _root_system(args)
     coeffs = _parse_weight(rs, args.weight)
     spec = demazure_params(rs, args.level, coeffs, args.mshift)
+    if args.format == "dot":
+        print(C.graph_to_dot(demazure_graph(spec, args.node_cap)))
+        return EXIT_OK
     ch = demazure_character(spec, restrict_to_hd=args.restrict, cap=args.node_cap)
     payload = {
         "Lambda": list(spec.Lambda),
@@ -94,11 +97,6 @@ def cmd_demazure(args):
         "nodes": ch.mass(),
         "character": char_to_json(ch),
     }
-    if args.format == "dot":
-        from .demazure import demazure_graph
-
-        print(C.graph_to_dot(demazure_graph(spec, args.node_cap)))
-        return EXIT_OK
     rows = [("weight", "coeff")] + [(r["weight"], r["coeff"]) for r in payload["character"]]
     _emit(payload, args.format, rows)
     return EXIT_OK
@@ -107,9 +105,8 @@ def cmd_demazure(args):
 def cmd_decompose(args):
     rs = _root_system(args)
     coeffs = _parse_weight(rs, args.weight)
-    image = DC.decompose_tensor_image(
-        rs, rs.weight_of(coeffs), args.node_cap, args.raise_cap
-    )
+    graph = C.generate_level_zero(rs, rs.weight_of(coeffs), args.node_cap)
+    image = DC.decompose_tensor_image(rs, graph, args.raise_cap)
     payload = {
         "components": [
             {"mu": list(comp.mu_coeffs), "n": comp.n, "size": len(comp.members)}
@@ -233,6 +230,28 @@ weights are given as comma-separated coefficients on the classical
 fundamental weights in that labeling."""
 
 
+# per subcommand: handler, --format choices and the options it reads
+COMMANDS = {
+    "crystal": (cmd_crystal, "json tsv dot", "--weight --node-cap"),
+    "demazure": (cmd_demazure, "json tsv dot", "--weight --level --mshift --restrict --node-cap"),
+    "decompose": (cmd_decompose, "json tsv", "--weight --nodes --node-cap --raise-cap"),
+    "filtration": (cmd_filtration, "json tsv", "--weight --node-cap"),
+    "verify": (cmd_verify, "json tsv", "--weight --node-cap --raise-cap"),
+    "selftest": (cmd_selftest, "json tsv", "--seed"),
+}
+OPTIONS = {
+    "--weight": {"required": True,
+                 "help": "comma-separated coefficients; verify accepts ;-separated lists"},
+    "--level": {"type": int, "default": 1},
+    "--mshift": {"type": int, "default": 0},
+    "--seed": {"type": int, "default": 0},
+    "--node-cap": {"type": int, "default": C.NODE_CAP},
+    "--raise-cap": {"type": int, "default": DC.RAISE_CAP},
+    "--restrict": {"action": "store_true", "help": "restrict characters"},
+    "--nodes": {"action": "store_true", "help": "include node inventories"},
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pathcrystals",
@@ -241,31 +260,13 @@ def build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_weight in [
-        ("crystal", cmd_crystal, True),
-        ("demazure", cmd_demazure, True),
-        ("decompose", cmd_decompose, True),
-        ("filtration", cmd_filtration, True),
-        ("verify", cmd_verify, True),
-        ("selftest", cmd_selftest, False),
-    ]:
+    for name, (fn, formats, options) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--type", required=True, help="finite type letter (A,B,C,D,G,F)")
         p.add_argument("--rank", type=int, required=True)
-        if needs_weight:
-            p.add_argument(
-                "--weight",
-                required=True,
-                help="comma-separated coefficients; verify accepts ;-separated lists",
-            )
-        p.add_argument("--level", type=int, default=1)
-        p.add_argument("--mshift", type=int, default=0)
-        p.add_argument("--format", choices=("json", "tsv", "dot"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--node-cap", type=int, default=C.NODE_CAP)
-        p.add_argument("--raise-cap", type=int, default=DC.RAISE_CAP)
-        p.add_argument("--restrict", action="store_true", help="restrict characters")
-        p.add_argument("--nodes", action="store_true", help="include node inventories")
+        p.add_argument("--format", choices=formats.split(), default="json")
+        for option in options.split():
+            p.add_argument(option, **OPTIONS[option])
         p.set_defaults(fn=fn)
     return parser
 

@@ -12,8 +12,7 @@ never need one while the affine node may.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from . import paths as P
@@ -33,8 +32,6 @@ class CrystalGraph:
     index: dict  # Path -> position
     f_edges: dict  # (pos, i) -> (pos, shift)
     e_edges: dict  # (pos, i) -> (pos, shift)
-    ops: tuple
-    shifts_seen: set = field(default_factory=set)
 
     def __len__(self):
         return len(self.nodes)
@@ -45,7 +42,6 @@ def _closure(rs, seed_paths, ops, cap, normalizer=None):
     index = {}
     f_edges = {}
     e_edges = {}
-    shifts_seen = set()
 
     def intern(path):
         shift = 0
@@ -72,15 +68,11 @@ def _closure(rs, seed_paths, ops, cap, normalizer=None):
         for i in ops:
             down = P.f_op(rs, i, path)
             if down is not None:
-                tgt, sh = intern(down)
-                f_edges[(pos, i)] = (tgt, sh)
-                shifts_seen.add(sh)
+                f_edges[(pos, i)] = intern(down)
             up = P.e_op(rs, i, path)
             if up is not None:
-                tgt, sh = intern(up)
-                e_edges[(pos, i)] = (tgt, sh)
-                shifts_seen.add(sh)
-    return CrystalGraph(rs, nodes, index, f_edges, e_edges, tuple(ops), shifts_seen)
+                e_edges[(pos, i)] = intern(up)
+    return CrystalGraph(rs, nodes, index, f_edges, e_edges)
 
 
 def generate(rs: RootSystem, seed: P.Path, ops, cap: int = NODE_CAP) -> CrystalGraph:
@@ -127,7 +119,8 @@ def generate_level_zero(rs: RootSystem, lam: Weight, cap: int = NODE_CAP) -> Cry
         return P.shift(path, minus), offset // d
 
     graph = _closure(rs, [seed], tuple(rs.nodes), cap, normalizer=normalizer)
-    nonzero = {abs(s) for s in graph.shifts_seen if s != 0}
+    edges = list(graph.f_edges.values()) + list(graph.e_edges.values())
+    nonzero = {abs(s) for _, s in edges if s != 0}
     if not nonzero or min(nonzero) != 1:
         raise GenerationError("declared offset generator was never attained")
     return graph
@@ -139,12 +132,12 @@ _LEVEL_ZERO_CACHE: dict = {}
 def level_zero_cached(rs: RootSystem, lam: Weight, cap: int = NODE_CAP) -> CrystalGraph:
     """Shared read-only instances of the anchored level-zero crystals."""
     key = (rs.letter, rs.rank, lam)
-    graph = _LEVEL_ZERO_CACHE.get(key)
-    if graph is None:
-        graph = generate_level_zero(rs, lam, cap)
-        _LEVEL_ZERO_CACHE[key] = graph
-    elif len(graph) > cap:
-        # generation is deterministic: a fresh build under this cap would fail
+    if key not in _LEVEL_ZERO_CACHE:
+        _LEVEL_ZERO_CACHE[key] = generate_level_zero(rs, lam, cap)
+    graph = _LEVEL_ZERO_CACHE[key]
+    if len(graph) > cap:
+        # a hit built under a larger cap; generation is deterministic, so a
+        # fresh build under this cap would fail
         raise GenerationError(f"node cap {cap} exceeded")
     return graph
 

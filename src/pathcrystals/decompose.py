@@ -36,7 +36,6 @@ from .crystals import (
     classically_highest,
     degree,
     full_weight,
-    generate_level_zero,
     level_zero_cached,
 )
 from .demazure import demazure_character, demazure_params
@@ -51,22 +50,18 @@ class DecompositionError(RuntimeError):
 
 # -- highest elements under a dominant weight --------------------------------
 
-def highest_candidates(rs: RootSystem, Lambda: Weight, lam: Weight,
-                       graph: CrystalGraph | None = None):
-    """Anchored representatives whose pairing profiles stay above the
-    thresholds set by Lambda, one per eligible projected element.
+def highest_candidates(rs: RootSystem, Lambda: Weight, graph: CrystalGraph) -> list:
+    """Positions of the anchored representatives whose pairing profiles stay
+    above the thresholds set by Lambda, one per eligible projected element.
 
     Null-root shifts leave every profile unchanged (the null root pairs to
     zero with all coroots), so each representative stands for its whole
     shift family.
     """
-    if graph is None:
-        graph = generate_level_zero(rs, lam)
-    out = []
-    for pos, path in enumerate(graph.nodes):
-        if all(P.min_h(rs, path, i) >= -Lambda[i] for i in rs.nodes):
-            out.append(pos)
-    return graph, out
+    return [
+        pos for pos, path in enumerate(graph.nodes)
+        if all(P.min_h(rs, path, i) >= -Lambda[i] for i in rs.nodes)
+    ]
 
 
 # -- route (c): components of the concatenated crystal ------------------------
@@ -100,13 +95,13 @@ def _raise_to_highest(rs: RootSystem, path: P.Path, cap: int) -> P.Path:
     raise DecompositionError("raising exceeded the step cap")
 
 
-def decompose_tensor_image(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
+def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
                            raise_cap: int = RAISE_CAP,
-                           graph: CrystalGraph | None = None,
                            Lambda: Weight | None = None) -> DemazureImage:
     """Group the concatenations of the highest straight path of ``Lambda``
-    with every crystal element by the highest path of their component, and
-    read each component's top (dominance-maximal) restricted key.
+    with every element of the level-zero crystal ``graph`` by the highest
+    path of their component, and read each component's top
+    (dominance-maximal) restricted key.
 
     ``Lambda`` defaults to the basic level-one weight.  Any positive multiple
     of it is allowed: those keep every finite pairing zero, which is what
@@ -116,17 +111,14 @@ def decompose_tensor_image(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
     if any(Lambda[i] != 0 for i in rs.finite_nodes) or Lambda[0] < 1 or Lambda[-1] != 0:
         raise DecompositionError("the tensor base must be a positive multiple "
                                  "of the basic level-one weight")
-    if graph is None:
-        graph = generate_level_zero(rs, lam, cap)
     base = P.straight(Lambda)
     buckets: dict = {}
     for pos, path in enumerate(graph.nodes):
         top = _raise_to_highest(rs, P.concat(base, path), raise_cap)
         buckets.setdefault(top, []).append(pos)
 
-    graph2, highest = highest_candidates(rs, Lambda, lam, graph=graph)
-    tops_expected = {P.concat(base, graph.nodes[pos]) for pos in highest}
-    if set(buckets) != tops_expected:
+    highest = highest_candidates(rs, Lambda, graph)
+    if set(buckets) != {P.concat(base, graph.nodes[pos]) for pos in highest}:
         raise DecompositionError("component tops do not match the highest candidates")
 
     components = []
@@ -194,12 +186,6 @@ def peel_short_filtration(rs: RootSystem, lam: Weight, tie_break=None):
     return peel_demazure(sh, ch, char_of, tie_break=tie_break)
 
 
-def lam_prime_hd(rs: RootSystem, lam: Weight) -> tuple:
-    """Restricted key of the invisible part of lam (grading entry zero)."""
-    lp = hd_finite_part(i_sh_hd(rs, lam_bar_coeffs(rs, lam) + (0,)))
-    return tuple(a - b for a, b in zip(lam[1:-1], lp, strict=True)) + (0,)
-
-
 def weyl_filtration_multiset(rs: RootSystem, lam: Weight):
     """The multiset of (mu coefficients, grading shift, multiplicity).
 
@@ -210,7 +196,7 @@ def weyl_filtration_multiset(rs: RootSystem, lam: Weight):
     coeffs = finite_key(rs, lam)
     if rs.is_simply_laced:
         return [(coeffs, 0, 1)]
-    lpk = hd_finite_part(lam_prime_hd(rs, lam))
+    lpk = finite_key(rs, lam_prime(rs, lam))
     out = []
     for nu_key, m, mult in peel_short_filtration(rs, lam):
         pushed = hd_finite_part(i_sh_hd(rs, nu_key + (0,)))
@@ -221,15 +207,11 @@ def weyl_filtration_multiset(rs: RootSystem, lam: Weight):
     return out
 
 
-def path_side_char(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
-                   graph: CrystalGraph | None = None) -> Character:
-    """Route (a): the full-lattice weight sum over the finite crystal."""
-    if graph is None:
-        graph = generate_level_zero(rs, lam, cap)
+def path_side_char(rs: RootSystem, graph: CrystalGraph) -> Character:
+    """Route (a): the full-lattice weight sum over the level-zero crystal."""
     ch = Character()
     for path in graph.nodes:
-        key = hd_key(rs, path.endpoint())
-        ch[key] = ch[key] + 1
+        ch.add_term(hd_key(rs, path.endpoint()), 1)
     return ch
 
 
@@ -242,59 +224,41 @@ def filtration_char(rs: RootSystem, filtration) -> Character:
     return char_sum(pieces)
 
 
-def short_restriction_identity(rs: RootSystem, lam: Weight,
-                               a_char: Character | None = None):
+def short_restriction_identity(rs: RootSystem, lam: Weight, a_char: Character):
     """Both short-projection identities, reported as (ok, detail lines).
 
-    First: the part of the path-side sum supported below lam along short
-    roots equals the transported level-one short block character.  Second:
-    the same projection applied to the full level-one block character equals
-    the transported level-r short block character.  ``a_char`` is the
-    route (a) character of lam; it is built when not given.
+    First: the part of the route (a) character ``a_char`` of lam supported
+    below lam along short roots equals the transported level-one short block
+    character.  Second: the same projection applied to the full level-one
+    block character equals the transported level-r short block character.
     """
     lines = []
-    ok = True
-    lam_prime_key = lam_prime_hd(rs, lam)
-
-    if a_char is None:
-        a_char = path_side_char(rs, lam)
     lhs = a_char.projected(hd_below_short(rs, lam))
-    rhs = i_sh_char(rs, short_level_one_char(rs, lam)).shifted(lam_prime_key)
+    rhs = i_sh_char(rs, short_level_one_char(rs, lam)).shifted(hd_key(rs, lam_prime(rs, lam)))
     if lhs != rhs:
-        ok = False
         lines.append(f"path-side projection differs: {lhs.added(rhs, -1)}")
-
-    lam_coeffs = finite_key(rs, lam)
-    full = demazure_character(demazure_params(rs, 1, lam_coeffs, 0), restrict_to_hd=True)
-    lhs2 = full.projected(hd_below_short(rs, lam))
-    rhs2 = i_sh_char(
-        rs, short_block_char(rs, rs.r, lam_bar_coeffs(rs, lam), 0)
-    ).shifted(lam_prime_key)
-    if lhs2 != rhs2:
-        ok = False
-        lines.append(f"block projection differs: {lhs2.added(rhs2, -1)}")
-    return ok, lines
+    diff = short_demazure_identity(rs, lam, 0)
+    if diff:
+        lines.append(f"block projection differs: {diff}")
+    return not lines, lines
 
 
-def short_demazure_identity(rs: RootSystem, lam: Weight, m: int) -> bool:
-    """Projection identity for the level-one block at an arbitrary shift."""
-    lam_prime_key = lam_prime_hd(rs, lam)
-    lam_coeffs = finite_key(rs, lam)
-    full = demazure_character(demazure_params(rs, 1, lam_coeffs, m), restrict_to_hd=True)
+def short_demazure_identity(rs: RootSystem, lam: Weight, m: int) -> Character:
+    """Projection identity for the level-one block at an arbitrary shift: the
+    difference of its two sides, empty exactly when the identity holds."""
+    full = demazure_character(demazure_params(rs, 1, finite_key(rs, lam), m), restrict_to_hd=True)
     lhs = full.projected(hd_below_short(rs, lam))
     rhs = i_sh_char(
         rs, short_block_char(rs, rs.r, lam_bar_coeffs(rs, lam), m)
-    ).shifted(lam_prime_key)
-    return lhs == rhs
+    ).shifted(hd_key(rs, lam_prime(rs, lam)))
+    return lhs.added(rhs, -1)
 
 
 # -- the full verification report ---------------------------------------------
 
 @dataclass
 class VerifyReport:
-    lam_coeffs: tuple
     crystal_size: int
-    factor_sizes: dict
     filtration: list
     image_multiset: list
     checks: dict
@@ -310,12 +274,12 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
                 raise_cap: int = RAISE_CAP) -> VerifyReport:
     """Run all three routes for one weight and cross-check every identity."""
     graph = level_zero_cached(rs, lam, cap)
-    a_char = path_side_char(rs, lam, graph=graph)
+    a_char = path_side_char(rs, graph)
 
     filtration = weyl_filtration_multiset(rs, lam)
     b_char = filtration_char(rs, filtration)
 
-    image = decompose_tensor_image(rs, lam, cap, raise_cap, graph=graph)
+    image = decompose_tensor_image(rs, graph, raise_cap)
     b_multiset = sorted(
         (mu, m) for mu, m, mult in filtration for _ in range(mult)
     )
@@ -327,13 +291,10 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
         == list(range(len(graph))),
     }
 
-    factor_sizes = {}
     prod = 1
     for i in rs.finite_nodes:
         if lam[i]:
-            size = len(level_zero_cached(rs, rs.varpi(i), cap))
-            factor_sizes[i] = size
-            prod *= size ** lam[i]
+            prod *= len(level_zero_cached(rs, rs.varpi(i), cap)) ** lam[i]
     checks["dimension_product"] = prod == len(graph)
 
     # graded multiplicity series {mu: {m: mult}}: from the one decomposition
@@ -354,9 +315,7 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
         checks["short_restriction"] = ok
 
     return VerifyReport(
-        lam_coeffs=finite_key(rs, lam),
         crystal_size=len(graph),
-        factor_sizes=factor_sizes,
         filtration=filtration,
         image_multiset=image.multiset(),
         checks=checks,

@@ -99,7 +99,7 @@ def demazure_graph(spec: DemazureSpec, cap: int = NODE_CAP) -> CrystalGraph:
                 if up not in index:
                     raise GenerationError("raising left the Demazure node set")
                 e_edges[(pos, i)] = (index[up], 0)
-    return CrystalGraph(rs, list(nodes), index, f_edges, e_edges, tuple(rs.nodes))
+    return CrystalGraph(rs, list(nodes), index, f_edges, e_edges)
 
 
 def demazure_character(spec: DemazureSpec, restrict_to_hd: bool = False,

@@ -58,7 +58,7 @@ RANDOM_PATH_TYPES = sorted({t for t, _ in SIMPLY_LACED_CASES + FUNDAMENTAL_CASES
 
 
 def path_char(rs, lam):
-    return DC.path_side_char(rs, lam, graph=level_zero_cached(rs, lam))
+    return DC.path_side_char(rs, level_zero_cached(rs, lam))
 
 
 def report(criterion, label, ok):
@@ -103,7 +103,7 @@ def test_criterion_04_decomposition_multiset():
             for mu, m, mult in DC.weyl_filtration_multiset(rs, lam)
             for _ in range(mult)
         )
-        image = DC.decompose_tensor_image(rs, lam, graph=level_zero_cached(rs, lam))
+        image = DC.decompose_tensor_image(rs, level_zero_cached(rs, lam))
         report(4, f"{letter}{rank} {coeffs}", blocks == image.multiset())
 
 
@@ -211,7 +211,7 @@ def test_criterion_09_short_subalgebra_identities():
     for (letter, rank), coeffs in MAIN_CASES:
         rs = root_system(letter, rank)
         lam = rs.weight_of(coeffs)
-        ok, lines = DC.short_restriction_identity(rs, lam, a_char=path_char(rs, lam))
+        ok, lines = DC.short_restriction_identity(rs, lam, path_char(rs, lam))
         report(9, f"{letter}{rank} {coeffs} restriction identity", ok)
     for letter, rank in [("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("F", 4), ("G", 2)]:
         rs = root_system(letter, rank)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,7 @@ from pathcrystals import characters as CH
 from pathcrystals import decompose as DC
 from pathcrystals.characters import Character
 from pathcrystals.demazure import demazure_character, demazure_params
-from pathcrystals.rootdata import root_system
+from pathcrystals.rootdata import normalize_weight, root_system
 
 A1 = root_system("A", 1)
 A2 = root_system("A", 2)
@@ -64,6 +65,32 @@ def test_i_sh_char_additive():
         k2 = tuple(rng.randint(-2, 2) for _ in range(sh.rank + 1))
         a, b = Character.monomial(k1), Character.monomial(k2, 3)
         assert CH.i_sh_char(C2, a.added(b)) == CH.i_sh_char(C2, a).added(CH.i_sh_char(C2, b))
+
+
+def _i_sh_hd_cartan_loop(rs, key):
+    """Reference pushforward: the short expansion re-read as ambient
+    pairings through the Cartan matrix, one short node at a time."""
+    sh = rs.short_system()
+    finite = sh.classical_alpha_expand((0,) + tuple(key[:-1]))
+    pair = [Fraction(0)] * rs.rank
+    for j, node in enumerate(rs.short_nodes):
+        for i in rs.finite_nodes:
+            pair[i - 1] += finite[j] * rs.cartan[i][node]
+    return normalize_weight(tuple(pair) + (key[-1],))
+
+
+def test_i_sh_hd_matches_the_cartan_loop(nsl_rs):
+    # values and int/Fraction entry types, on integral and on halved keys
+    rng = random.Random(11)
+    k = nsl_rs.short_system().rank
+    for _ in range(300):
+        key = tuple(rng.randint(-4, 4) for _ in range(k + 1))
+        if rng.random() < 0.25:
+            key = tuple(Fraction(c, 2) for c in key)
+        want = _i_sh_hd_cartan_loop(nsl_rs, key)
+        got = CH.i_sh_hd(nsl_rs, key)
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in want], (key, got, want)
 
 
 def test_finite_char_small():

@@ -4,8 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from pathcrystals import cli
 from pathcrystals import decompose as DC
+from pathcrystals import demazure as D
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -145,3 +148,41 @@ def test_demazure_dot_export(capsys):
     )
     assert code == 0
     assert out.startswith("digraph") and "->" in out
+
+
+def test_demazure_dot_builds_the_crystal_once(capsys, monkeypatch):
+    calls = []
+    build = D.demazure_crystal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(D, "demazure_crystal", counted)
+    code, out, _ = run(
+        capsys, ["demazure", "--type", "A", "--rank", "2", "--weight", "1,1", "--format", "dot"]
+    )
+    assert code == 0 and out.startswith("digraph")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--type", "A", "--rank", "2", "--format", "dot"],
+        ["filtration", "--type", "G", "--rank", "2", "--weight", "0,2", "--format", "dot"],
+        ["crystal", "--type", "A", "--rank", "1", "--weight", "1", "--level", "3"],
+        ["crystal", "--type", "A", "--rank", "1", "--weight", "1", "--restrict"],
+        ["verify", "--type", "A", "--rank", "1", "--weight", "1", "--nodes"],
+        ["decompose", "--type", "A", "--rank", "1", "--weight", "1", "--seed", "3"],
+        ["demazure", "--type", "A", "--rank", "1", "--weight", "1", "--raise-cap", "5"],
+        ["selftest", "--type", "A", "--rank", "1", "--node-cap", "5"],
+    ],
+    ids=lambda argv: f"{argv[0]} {[a for a in argv if a.startswith('--')][-1]}",
+)
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code != 0
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err

@@ -1,0 +1,42 @@
+"""Stored CLI outputs: exit code and stdout, byte for byte.
+
+Each case runs ``cli.main`` in process and compares its stdout with
+``tests/golden/<id>.out``.  The cases are the README commands, their
+``--format tsv`` / ``--format dot`` variants where the command has them,
+``decompose --nodes`` and the largest verify case of the ROADMAP.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from pathcrystals import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = [
+    ("crystal-C2-tsv", ["crystal", "--type", "C", "--rank", "2", "--weight", "1,0", "--format", "tsv"], 0),
+    ("crystal-C2-json", ["crystal", "--type", "C", "--rank", "2", "--weight", "1,0"], 0),
+    ("crystal-C2-dot", ["crystal", "--type", "C", "--rank", "2", "--weight", "1,0", "--format", "dot"], 0),
+    ("demazure-A2", ["demazure", "--type", "A", "--rank", "2", "--weight", "1,1", "--level", "1",
+                     "--mshift", "0", "--restrict"], 0),
+    ("demazure-A2-tsv", ["demazure", "--type", "A", "--rank", "2", "--weight", "1,1", "--level", "1",
+                         "--mshift", "0", "--restrict", "--format", "tsv"], 0),
+    ("demazure-A2-dot", ["demazure", "--type", "A", "--rank", "2", "--weight", "1,1", "--level", "1",
+                         "--mshift", "0", "--restrict", "--format", "dot"], 0),
+    ("decompose-C2", ["decompose", "--type", "C", "--rank", "2", "--weight", "2,0"], 0),
+    ("decompose-C2-tsv", ["decompose", "--type", "C", "--rank", "2", "--weight", "2,0", "--format", "tsv"], 0),
+    ("decompose-C2-nodes", ["decompose", "--type", "C", "--rank", "2", "--weight", "2,0", "--nodes"], 0),
+    ("filtration-G2", ["filtration", "--type", "G", "--rank", "2", "--weight", "0,2"], 0),
+    ("filtration-G2-tsv", ["filtration", "--type", "G", "--rank", "2", "--weight", "0,2", "--format", "tsv"], 0),
+    ("verify-C2", ["verify", "--type", "C", "--rank", "2", "--weight", "2,0;1,1;2,1"], 0),
+    ("verify-C2-tsv", ["verify", "--type", "C", "--rank", "2", "--weight", "2,0;1,1;2,1", "--format", "tsv"], 0),
+    ("verify-F4", ["verify", "--type", "F", "--rank", "4", "--weight", "0,0,0,2"], 0),
+    ("selftest-G2", ["selftest", "--type", "G", "--rank", "2", "--seed", "7"], 0),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(capsys, name, argv, code):
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
