@@ -187,46 +187,7 @@ def finite_char(rs: RootSystem, mu_coeffs) -> Character:
     return Character(_finite_char_cached(rs, tuple(mu_coeffs)))
 
 
-# -- graded decomposition over finite irreducibles ---------------------------
-
-def decompose_finite(rs: RootSystem, ch: Character) -> dict:
-    """Write a finite-key character as a sum of irreducible characters.
-
-    Repeatedly strips a support weight of greatest height, which is
-    dominance-maximal; a negative multiplicity or a non-dominant maximum
-    means the input was not a genuine module character.
-    """
-    residue = Character(ch)
-    out: dict = {}
-    while residue:
-        top = max(residue, key=lambda k: _height(rs, k))
-        if any(c < 0 for c in top):
-            raise CharacterError(f"maximal weight {top} is not dominant")
-        mult = residue[top]
-        if mult < 0:
-            raise CharacterError(f"negative multiplicity at {top}")
-        for key, coeff in finite_char(rs, top).items():
-            residue.add_term(key, -mult * coeff)
-        if any(v < 0 for v in residue.values()):
-            raise CharacterError(f"negative residue after stripping {top}")
-        out[top] = out.get(top, 0) + mult
-    return out
-
-
-def decompose_hd(rs: RootSystem, ch: Character) -> dict:
-    """Decompose a restricted character slice-by-slice in the grading:
-    returns {(mu, m): multiplicity} over dominant finite weights mu."""
-    slices: dict = {}
-    for key, v in ch.items():
-        slices.setdefault(hd_delta(key), Character())[hd_finite_part(key)] = v
-    out = {}
-    for m, slice_ch in sorted(slices.items()):
-        for mu, mult in decompose_finite(rs, slice_ch).items():
-            out[(mu, m)] = mult
-    return out
-
-
-# -- peeling into level-r building blocks -------------------------------------
+# -- peeling into building blocks -------------------------------------------
 
 def hd_height(rs: RootSystem, key):
     """Height of the finite part minus the grading.  It strictly increases
@@ -242,35 +203,28 @@ def dominance_leq(rs: RootSystem, key1, key2) -> bool:
     )
 
 
-def peel_demazure(rs: RootSystem, ch: Character, char_of, tie_break=None):
-    """Strip a restricted character into the given building-block characters.
+def peel_demazure(rs: RootSystem, ch: Character, char_of) -> list:
+    """Strip a restricted character into the given building-block characters;
+    returns ``[(nu, m, mult)]`` in stripping order.
 
     ``char_of(nu_coeffs, m)`` must return the restricted character of the
-    block with top key ``nu + m delta``.  Maximal support keys are stripped
-    greedily; ties among incomparable maxima default to (grading ascending,
-    pairings descending), and the result is independent of that choice for
-    genuine inputs.
+    block with top key ``nu + m delta``: coefficient 1 there and support
+    below it in ``dominance_leq``.  That makes the blocks unitriangular, so a
+    genuine input has exactly one expansion, and any maximal support key of
+    the residue is a block top whose multiplicity is its coefficient.  The
+    loop strips a key of greatest ``hd_height``, which is maximal; a
+    non-dominant top, a negative multiplicity or a negative residue means
+    the input was not a nonnegative sum of blocks.
     """
-    if tie_break is None:
-        tie_break = lambda key: (hd_delta(key), tuple(-c for c in hd_finite_part(key)))
     residue = Character(ch)
     out = []
     while residue:
-        keys = sorted(residue)
-        maximal = [
-            k for k in keys
-            if not any(k2 != k and dominance_leq(rs, k, k2) for k2 in keys)
-        ]
-        maximal = [k for k in maximal if residue[k] > 0]
-        dominant = [k for k in maximal if all(c >= 0 for c in hd_finite_part(k))]
-        if not dominant:
-            raise CharacterError(
-                f"no dominant maximal key while residue remains: {dict(residue)}"
-            )
-        top = min(dominant, key=tie_break)
-        mult = residue[top]
-        nu = hd_finite_part(top)
-        m = hd_delta(top)
+        top = max(residue, key=lambda k: hd_height(rs, k))
+        nu, m, mult = hd_finite_part(top), hd_delta(top), residue[top]
+        if any(c < 0 for c in nu):
+            raise CharacterError(f"maximal key {top} is not dominant")
+        if mult < 0:
+            raise CharacterError(f"negative multiplicity at {top}")
         out.append((nu, m, mult))
         for key, coeff in char_of(nu, m).items():
             residue.add_term(key, -mult * coeff)
@@ -278,6 +232,23 @@ def peel_demazure(rs: RootSystem, ch: Character, char_of, tie_break=None):
             raise CharacterError(
                 f"negative residue after stripping block {(nu, m)}: {dict(residue)}"
             )
+    return out
+
+
+def decompose_hd(rs: RootSystem, ch: Character) -> dict:
+    """Decompose a restricted character slice-by-slice in the grading:
+    returns {(mu, m): multiplicity} over dominant finite weights mu."""
+    slices: dict = {}
+    for key, v in ch.items():
+        slices.setdefault(hd_delta(key), Character())[key] = v
+
+    def placed(mu, m):
+        return {k + (m,): c for k, c in _finite_char_cached(rs, mu).items()}
+
+    out = {}
+    for _, slice_ch in sorted(slices.items()):
+        for mu, m, mult in peel_demazure(rs, slice_ch, placed):
+            out[(mu, m)] = mult
     return out
 
 

@@ -127,7 +127,7 @@ def cmd_decompose(args):
 def cmd_filtration(args):
     rs = _root_system(args)
     coeffs = _parse_weight(rs, args.weight)
-    filt = DC.weyl_filtration_multiset(rs, rs.weight_of(coeffs))
+    filt = DC.weyl_filtration_multiset(rs, rs.weight_of(coeffs), args.node_cap)
     payload = {"blocks": [{"mu": list(mu), "m": m, "mult": mult} for mu, m, mult in filt]}
     rows = [("mu", "m", "mult")] + [(list(mu), m, mult) for mu, m, mult in filt]
     _emit(payload, args.format, rows)
@@ -272,8 +272,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error is a configuration error
+        raise SystemExit(EXIT_CONFIG if exc.code else exc.code) from None
     try:
         return args.fn(args)
     except (RootDataError, ValueError) as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from . import paths as P
 from .characters import (
@@ -38,7 +37,7 @@ from .crystals import (
     full_weight,
     level_zero_cached,
 )
-from .demazure import demazure_character, demazure_params
+from .demazure import block_char
 from .rootdata import RootSystem, Weight
 
 RAISE_CAP = 10**4
@@ -160,33 +159,16 @@ def sh_embed(rs: RootSystem, lam: Weight, short_path: P.Path) -> P.Path:
     return P.make_path(dirs, short_path.sigmas)
 
 
-@lru_cache(maxsize=None)
-def _short_block_char(sh: RootSystem, level: int, nu_coeffs: tuple, m: int) -> Character:
-    spec = demazure_params(sh, level, nu_coeffs, m)
-    return demazure_character(spec, restrict_to_hd=True)
-
-
-def short_block_char(rs: RootSystem, level: int, nu_coeffs, m: int) -> Character:
-    """Restricted character of a short-system block of the given level."""
-    return Character(_short_block_char(rs.short_system(), level, tuple(nu_coeffs), m))
-
-
-def short_level_one_char(rs: RootSystem, lam: Weight, m: int = 0) -> Character:
-    return short_block_char(rs, 1, lam_bar_coeffs(rs, lam), m)
-
-
-def peel_short_filtration(rs: RootSystem, lam: Weight, tie_break=None):
-    """Peel the level-one short block character into level-r pieces."""
+def peel_short_filtration(rs: RootSystem, lam: Weight, cap: int = NODE_CAP):
+    """Peel the level-one short block character into level-r pieces, listed
+    by grading ascending, then pairings descending."""
     sh = rs.short_system()
-    ch = short_level_one_char(rs, lam)
-
-    def char_of(nu_key, m):
-        return short_block_char(rs, rs.r, nu_key, m)
-
-    return peel_demazure(sh, ch, char_of, tie_break=tie_break)
+    ch = block_char(sh, 1, lam_bar_coeffs(rs, lam), 0, cap)
+    pieces = peel_demazure(sh, ch, lambda nu, m: block_char(sh, rs.r, nu, m, cap))
+    return sorted(pieces, key=lambda p: (p[1], tuple(-c for c in p[0])))
 
 
-def weyl_filtration_multiset(rs: RootSystem, lam: Weight):
+def weyl_filtration_multiset(rs: RootSystem, lam: Weight, cap: int = NODE_CAP):
     """The multiset of (mu coefficients, grading shift, multiplicity).
 
     Simply laced types contribute the single block at the weight itself;
@@ -198,7 +180,7 @@ def weyl_filtration_multiset(rs: RootSystem, lam: Weight):
         return [(coeffs, 0, 1)]
     lpk = finite_key(rs, lam_prime(rs, lam))
     out = []
-    for nu_key, m, mult in peel_short_filtration(rs, lam):
+    for nu_key, m, mult in peel_short_filtration(rs, lam, cap):
         pushed = hd_finite_part(i_sh_hd(rs, nu_key + (0,)))
         mu = tuple(a + b for a, b in zip(pushed, lpk, strict=True))
         if any(Fraction(c).denominator != 1 or c < 0 for c in mu):
@@ -215,16 +197,13 @@ def path_side_char(rs: RootSystem, graph: CrystalGraph) -> Character:
     return ch
 
 
-def filtration_char(rs: RootSystem, filtration) -> Character:
+def filtration_char(rs: RootSystem, filtration, cap: int = NODE_CAP) -> Character:
     """Route (b): the blocks of the filtration, summed at their shifts."""
-    pieces = []
-    for mu, m, mult in filtration:
-        spec = demazure_params(rs, 1, mu, m)
-        pieces.append(demazure_character(spec, restrict_to_hd=True).scaled(mult))
-    return char_sum(pieces)
+    return char_sum(block_char(rs, 1, mu, m, cap).scaled(mult) for mu, m, mult in filtration)
 
 
-def short_restriction_identity(rs: RootSystem, lam: Weight, a_char: Character):
+def short_restriction_identity(rs: RootSystem, lam: Weight, a_char: Character,
+                               cap: int = NODE_CAP):
     """Both short-projection identities, reported as (ok, detail lines).
 
     First: the part of the route (a) character ``a_char`` of lam supported
@@ -234,23 +213,24 @@ def short_restriction_identity(rs: RootSystem, lam: Weight, a_char: Character):
     """
     lines = []
     lhs = a_char.projected(hd_below_short(rs, lam))
-    rhs = i_sh_char(rs, short_level_one_char(rs, lam)).shifted(hd_key(rs, lam_prime(rs, lam)))
+    short_char = block_char(rs.short_system(), 1, lam_bar_coeffs(rs, lam), 0, cap)
+    rhs = i_sh_char(rs, short_char).shifted(hd_key(rs, lam_prime(rs, lam)))
     if lhs != rhs:
         lines.append(f"path-side projection differs: {lhs.added(rhs, -1)}")
-    diff = short_demazure_identity(rs, lam, 0)
+    diff = short_demazure_identity(rs, lam, 0, cap)
     if diff:
         lines.append(f"block projection differs: {diff}")
     return not lines, lines
 
 
-def short_demazure_identity(rs: RootSystem, lam: Weight, m: int) -> Character:
+def short_demazure_identity(rs: RootSystem, lam: Weight, m: int,
+                            cap: int = NODE_CAP) -> Character:
     """Projection identity for the level-one block at an arbitrary shift: the
     difference of its two sides, empty exactly when the identity holds."""
-    full = demazure_character(demazure_params(rs, 1, finite_key(rs, lam), m), restrict_to_hd=True)
+    full = block_char(rs, 1, finite_key(rs, lam), m, cap)
     lhs = full.projected(hd_below_short(rs, lam))
-    rhs = i_sh_char(
-        rs, short_block_char(rs, rs.r, lam_bar_coeffs(rs, lam), m)
-    ).shifted(hd_key(rs, lam_prime(rs, lam)))
+    short = block_char(rs.short_system(), rs.r, lam_bar_coeffs(rs, lam), m, cap)
+    rhs = i_sh_char(rs, short).shifted(hd_key(rs, lam_prime(rs, lam)))
     return lhs.added(rhs, -1)
 
 
@@ -276,8 +256,8 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
     graph = level_zero_cached(rs, lam, cap)
     a_char = path_side_char(rs, graph)
 
-    filtration = weyl_filtration_multiset(rs, lam)
-    b_char = filtration_char(rs, filtration)
+    filtration = weyl_filtration_multiset(rs, lam, cap)
+    b_char = filtration_char(rs, filtration, cap)
 
     image = decompose_tensor_image(rs, graph, raise_cap)
     b_multiset = sorted(
@@ -311,7 +291,7 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
 
     details = []
     if not rs.is_simply_laced:
-        ok, details = short_restriction_identity(rs, lam, a_char)
+        ok, details = short_restriction_identity(rs, lam, a_char, cap)
         checks["short_restriction"] = ok
 
     return VerifyReport(

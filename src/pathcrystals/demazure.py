@@ -10,6 +10,7 @@ computations share nothing but the word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import paths as P
 from .characters import Character, restrict_hd
@@ -111,6 +112,17 @@ def demazure_character(spec: DemazureSpec, restrict_to_hd: bool = False,
     if restrict_to_hd:
         ch = restrict_hd(spec.rs, ch)
     return ch
+
+
+@lru_cache(maxsize=None)
+def _block_char(rs: RootSystem, level: int, mu: tuple, m: int, cap: int) -> Character:
+    return demazure_character(demazure_params(rs, level, mu, m), restrict_to_hd=True, cap=cap)
+
+
+def block_char(rs: RootSystem, level: int, mu, m: int, cap: int = NODE_CAP) -> Character:
+    """Restricted character of the level-``level`` block with top key
+    ``mu + m delta``, memoised per cap; the caller gets its own copy."""
+    return Character(_block_char(rs, level, tuple(mu), m, cap))
 
 
 def _divided_difference(rs: RootSystem, i: int, ch: Character) -> Character:

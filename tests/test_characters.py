@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from pathcrystals import characters as CH
 from pathcrystals import decompose as DC
 from pathcrystals.characters import Character
-from pathcrystals.demazure import demazure_character, demazure_params
+from pathcrystals.demazure import block_char, demazure_character, demazure_params
 from pathcrystals.rootdata import normalize_weight, root_system
 
 A1 = root_system("A", 1)
@@ -136,42 +137,82 @@ def test_graded_multiplicity_mass_conservation():
 
 
 def test_decompose_finite_rejects_garbage():
-    bad = Character.monomial((0, 1), -1)  # negative at a maximal weight
+    bad = Character.monomial((0, 1, 0), -1)  # negative at a maximal weight
     with pytest.raises(CH.CharacterError):
-        CH.decompose_finite(C2, bad)
+        CH.decompose_hd(C2, bad)
 
 
 def test_peel_single_block_is_identity():
     sh = C2.short_system()
-    block = DC.short_block_char(C2, 2, (1,), 0)
+    block = block_char(sh, 2, (1,), 0)
 
     def char_of(nu, m):
-        return DC.short_block_char(C2, 2, nu, m)
+        return block_char(sh, 2, nu, m)
 
     assert CH.peel_demazure(sh, block, char_of) == [((1,), 0, 1)]
 
 
 def test_peel_reconstruction_c2():
     sh = C2.short_system()
-    ch = DC.short_level_one_char(C2, C2.weight_of((2, 0)))
+    ch = block_char(sh, 1, DC.lam_bar_coeffs(C2, C2.weight_of((2, 0))), 0)
 
     def char_of(nu, m):
-        return DC.short_block_char(C2, 2, nu, m)
+        return block_char(sh, 2, nu, m)
 
     pieces = CH.peel_demazure(sh, ch, char_of)
     rebuilt = CH.char_sum(char_of(nu, m).scaled(mult) for nu, m, mult in pieces)
     assert rebuilt == ch
 
 
-def test_peel_tie_break_invariance():
-    # randomized preference among incomparable maxima must not change the result
-    sh = G2.short_system()
-    ch = DC.short_level_one_char(G2, G2.weight_of((1, 2)))
+def _peel_demazure_pairwise(rs, ch, char_of, tie_break=None):
+    """Reference peel: a pairwise scan finds the dominant maximal keys, and
+    the first of them under ``tie_break`` (default: grading ascending,
+    pairings descending) is stripped."""
+    if tie_break is None:
+        tie_break = lambda key: (CH.hd_delta(key), tuple(-c for c in CH.hd_finite_part(key)))
+    residue = Character(ch)
+    out = []
+    while residue:
+        keys = sorted(residue)
+        maximal = [
+            k for k in keys
+            if not any(k2 != k and CH.dominance_leq(rs, k, k2) for k2 in keys)
+        ]
+        maximal = [k for k in maximal if residue[k] > 0]
+        dominant = [k for k in maximal if all(c >= 0 for c in CH.hd_finite_part(k))]
+        if not dominant:
+            raise CH.CharacterError(
+                f"no dominant maximal key while residue remains: {dict(residue)}"
+            )
+        top = min(dominant, key=tie_break)
+        mult = residue[top]
+        nu = CH.hd_finite_part(top)
+        m = CH.hd_delta(top)
+        out.append((nu, m, mult))
+        for key, coeff in char_of(nu, m).items():
+            residue.add_term(key, -mult * coeff)
+        if any(v < 0 for v in residue.values()):
+            raise CH.CharacterError(
+                f"negative residue after stripping block {(nu, m)}: {dict(residue)}"
+            )
+    return out
+
+
+def _short_peel_inputs(rs, lam):
+    sh = rs.short_system()
 
     def char_of(nu, m):
-        return DC.short_block_char(G2, 3, nu, m)
+        return block_char(sh, rs.r, nu, m)
 
-    baseline = sorted(CH.peel_demazure(sh, ch, char_of))
+    return sh, block_char(sh, 1, DC.lam_bar_coeffs(rs, lam), 0), char_of
+
+
+def test_peel_tie_break_invariance():
+    # randomized preference among incomparable maxima must not change the result
+    lam = G2.weight_of((1, 2))
+    sh, ch, char_of = _short_peel_inputs(G2, lam)
+    baseline = sorted(DC.peel_short_filtration(G2, lam))
+    assert sorted(CH.peel_demazure(sh, ch, char_of)) == baseline
     rng = random.Random(9)
     for _ in range(4):
         salt = rng.random()
@@ -179,7 +220,30 @@ def test_peel_tie_break_invariance():
         def shuffled(key, _salt=salt):
             return hash((key, _salt))
 
-        assert sorted(CH.peel_demazure(sh, ch, char_of, tie_break=shuffled)) == baseline
+        assert sorted(_peel_demazure_pairwise(sh, ch, char_of, tie_break=shuffled)) == baseline
+
+
+# every nonzero weight with coefficient sum at most 6, 3, 2 on rank 2, 3, 4
+PEEL_TYPES = [("B", 2), ("C", 2), ("G", 2), ("B", 3), ("C", 3), ("B", 4), ("C", 4), ("F", 4)]
+PEEL_WEIGHTS = [
+    (letter, rank, coeffs)
+    for letter, rank in PEEL_TYPES
+    for coeffs in itertools.product(range({2: 7, 3: 4, 4: 3}[rank]), repeat=rank)
+    if 0 < sum(coeffs) <= {2: 6, 3: 3, 4: 2}[rank]
+]
+
+
+def test_peel_weights_cover_the_reference_sweep():
+    assert len(PEEL_WEIGHTS) == 161
+    assert ("G", 2, (0, 4)) in PEEL_WEIGHTS
+
+
+@pytest.mark.parametrize("letter,rank,coeffs", PEEL_WEIGHTS, ids=lambda v: str(v))
+def test_short_peel_matches_the_pairwise_reference(letter, rank, coeffs):
+    # the same blocks in the same order as the pairwise scan's default tie-break
+    rs = root_system(letter, rank)
+    lam = rs.weight_of(coeffs)
+    assert DC.peel_short_filtration(rs, lam) == _peel_demazure_pairwise(*_short_peel_inputs(rs, lam))
 
 
 def test_dominance_order():

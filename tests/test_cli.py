@@ -133,6 +133,24 @@ def test_cap_exceeded_exits_two(capsys):
     assert code == 2
 
 
+def test_filtration_honours_the_node_cap(capsys):
+    capped = ["filtration", "--type", "C", "--rank", "2", "--weight", "2,1", "--node-cap", "1"]
+    for argv, want in [(capped, 2), (capped[:-2], 0), (capped, 2)]:
+        code, _, err = run(capsys, argv)
+        assert code == want
+        assert ("node cap 1 exceeded" in err) == (want == 2)
+
+
+def test_usage_errors_exit_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["crystal", "--type", "A", "--rank", "1"])  # no --weight
+    assert exc.value.code == 1
+    assert "required" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+
+
 def test_dot_export(capsys):
     code, out, _ = run(
         capsys, ["crystal", "--type", "A", "--rank", "1", "--weight", "1", "--format", "dot"]

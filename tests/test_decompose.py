@@ -288,6 +288,25 @@ def test_verify_main_builds_route_a_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_main_builds_the_level_one_block_once(monkeypatch):
+    # the filtration's top block (lam, 0) and the block projection identity
+    # read the same memoised block
+    from pathcrystals import demazure as D
+
+    builds = []
+    build = D.demazure_crystal
+
+    def counted(spec, *args, **kwargs):
+        builds.append((spec.level, spec.lam_coeffs, spec.m))
+        return build(spec, *args, **kwargs)
+
+    monkeypatch.setattr(D, "demazure_crystal", counted)
+    D._block_char.cache_clear()
+    rep = DC.verify_main(C2, C2.weight_of((2, 1)))
+    assert rep.ok
+    assert builds.count((1, (2, 1), 0)) == 1
+
+
 def test_verify_main_keeps_failure_details(monkeypatch):
     # every key counts as below lam, so the path-side projection keeps too much
     monkeypatch.setattr(DC, "hd_below_short", lambda rs, lam: lambda key: True)

@@ -1,10 +1,14 @@
 import itertools
 import random
 
+import pytest
+
 from pathcrystals import paths as P
 from pathcrystals.characters import Character, dominance_leq, finite_char, hd_key
+from pathcrystals.crystals import GenerationError
 from pathcrystals.demazure import (
     DemazureSpec,
+    block_char,
     demazure_character,
     demazure_character_oracle,
     demazure_crystal,
@@ -202,3 +206,14 @@ def test_oracle_matches_crystal_sum():
             assert demazure_character(spec) == demazure_character_oracle(spec)
             count += 1
     assert count >= 20
+
+
+def test_block_char_is_a_copy_memoised_per_cap():
+    want = demazure_character(demazure_params(C2, 1, (2, 1), 0), restrict_to_hd=True)
+    got = block_char(C2, 1, (2, 1), 0)
+    assert got == want
+    got.clear()
+    assert block_char(C2, 1, [2, 1], 0) == want
+    # a block built under the default cap is not served to a smaller one
+    with pytest.raises(GenerationError, match="node cap 1 exceeded"):
+        block_char(C2, 1, (2, 1), 0, cap=1)

@@ -3,7 +3,9 @@
 Each case runs ``cli.main`` in process and compares its stdout with
 ``tests/golden/<id>.out``.  The cases are the README commands, their
 ``--format tsv`` / ``--format dot`` variants where the command has them,
-``decompose --nodes`` and the largest verify case of the ROADMAP.
+``decompose --nodes``, the largest verify case of the ROADMAP and the
+filtration of G2 (0,4), the one small weight where several dominant keys
+are maximal at once during the peel.
 """
 
 from pathlib import Path
@@ -29,6 +31,8 @@ CASES = [
     ("decompose-C2-nodes", ["decompose", "--type", "C", "--rank", "2", "--weight", "2,0", "--nodes"], 0),
     ("filtration-G2", ["filtration", "--type", "G", "--rank", "2", "--weight", "0,2"], 0),
     ("filtration-G2-tsv", ["filtration", "--type", "G", "--rank", "2", "--weight", "0,2", "--format", "tsv"], 0),
+    ("filtration-G2-04", ["filtration", "--type", "G", "--rank", "2", "--weight", "0,4"], 0),
+    ("filtration-G2-04-tsv", ["filtration", "--type", "G", "--rank", "2", "--weight", "0,4", "--format", "tsv"], 0),
     ("verify-C2", ["verify", "--type", "C", "--rank", "2", "--weight", "2,0;1,1;2,1"], 0),
     ("verify-C2-tsv", ["verify", "--type", "C", "--rank", "2", "--weight", "2,0;1,1;2,1", "--format", "tsv"], 0),
     ("verify-F4", ["verify", "--type", "F", "--rank", "4", "--weight", "0,0,0,2"], 0),
