@@ -153,13 +153,10 @@ def full_weight(graph: CrystalGraph, pos: int) -> Weight:
 
 
 def classically_highest(graph: CrystalGraph) -> list:
-    """Positions whose paths admit no raising at any finite node."""
-    rs = graph.rs
-    out = []
-    for pos, path in enumerate(graph.nodes):
-        if all(P.eps_phi(rs, i, path)[0] == 0 for i in rs.finite_nodes):
-            out.append(pos)
-    return out
+    """Positions with no recorded raising edge at any finite node."""
+    finite = graph.rs.finite_nodes
+    return [pos for pos in range(len(graph))
+            if not any((pos, i) in graph.e_edges for i in finite)]
 
 
 def compatible_lift_check(graph: CrystalGraph) -> list:

@@ -3,9 +3,10 @@
 Route (a) sums the full-lattice weights over the finite level-zero crystal.
 Route (b) peels the level-one block character of the short subsystem into
 level-r blocks and transports them back through the splitting.  Route (c)
-concatenates the basic highest path onto every crystal element, raises
-greedily to find its component, and reads each component's top key.  The
-headline checks are (a) = (b) as characters and (b) = (c) as multisets.
+concatenates the basic highest path onto every crystal element, follows the
+crystal's recorded raising edges to its component's top, and reads the top
+key.  The headline checks are (a) = (b) as characters and (b) = (c) as
+multisets.
 """
 
 from __future__ import annotations
@@ -49,18 +50,24 @@ class DecompositionError(RuntimeError):
 
 # -- highest elements under a dominant weight --------------------------------
 
-def highest_candidates(rs: RootSystem, Lambda: Weight, graph: CrystalGraph) -> list:
-    """Positions of the anchored representatives whose pairing profiles stay
-    above the thresholds set by Lambda, one per eligible projected element.
+def _raised(rs: RootSystem, Lambda: Weight, graph: CrystalGraph, pos: int):
+    """Target of the first e_i (in ``rs.nodes`` order) raising the straight
+    path of Lambda followed by node ``pos``, or None.  The straight part's
+    profile is nonnegative, so e_i raises when ``min_h(node, i) < -Lambda[i]``,
+    along the recorded e_i-edge; e-stability forbids that edge a shift."""
+    for i in rs.nodes:
+        if P.min_h(rs, graph.nodes[pos], i) < -Lambda[i]:
+            tgt, shift = graph.e_edges[(pos, i)]
+            if shift:
+                raise DecompositionError(f"raising {pos} by e_{i} shifts it by {shift}")
+            return tgt
+    return None
 
-    Null-root shifts leave every profile unchanged (the null root pairs to
-    zero with all coroots), so each representative stands for its whole
-    shift family.
-    """
-    return [
-        pos for pos, path in enumerate(graph.nodes)
-        if all(P.min_h(rs, path, i) >= -Lambda[i] for i in rs.nodes)
-    ]
+
+def highest_candidates(rs: RootSystem, Lambda: Weight, graph: CrystalGraph) -> list:
+    """Positions that no e_i raises after the straight path of Lambda; each
+    anchored representative stands for its whole null-root shift family."""
+    return [pos for pos in range(len(graph)) if _raised(rs, Lambda, graph, pos) is None]
 
 
 # -- route (c): components of the concatenated crystal ------------------------
@@ -82,46 +89,36 @@ class DemazureImage:
         return sorted((c.mu_coeffs, c.n) for c in self.components)
 
 
-def _raise_to_highest(rs: RootSystem, path: P.Path, cap: int) -> P.Path:
-    for _ in range(cap):
-        for i in rs.nodes:
-            up = P.e_op(rs, i, path)
-            if up is not None:
-                path = up
-                break
-        else:
-            return path
-    raise DecompositionError("raising exceeded the step cap")
-
-
 def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
                            raise_cap: int = RAISE_CAP,
                            Lambda: Weight | None = None) -> DemazureImage:
     """Group the concatenations of the highest straight path of ``Lambda``
-    with every element of the level-zero crystal ``graph`` by the highest
-    path of their component, and read each component's top
-    (dominance-maximal) restricted key.
-
-    ``Lambda`` defaults to the basic level-one weight.  Any positive multiple
-    of it is allowed: those keep every finite pairing zero, which is what
-    makes the top-key read meaningful."""
+    with every element of the level-zero crystal ``graph`` by their
+    component's top, reached by walking :func:`_raised`; an element that
+    needs ``raise_cap`` or more raisings is an error.  Read each top's
+    (dominance-maximal) restricted key.  ``Lambda`` defaults to the basic
+    level-one weight; a positive multiple keeps every finite pairing zero,
+    which makes the top-key read meaningful."""
     if Lambda is None:
         Lambda = rs.fundamental(0)
     if any(Lambda[i] != 0 for i in rs.finite_nodes) or Lambda[0] < 1 or Lambda[-1] != 0:
         raise DecompositionError("the tensor base must be a positive multiple "
                                  "of the basic level-one weight")
-    base = P.straight(Lambda)
-    buckets: dict = {}
-    for pos, path in enumerate(graph.nodes):
-        top = _raise_to_highest(rs, P.concat(base, path), raise_cap)
+    tops: dict = {}  # position -> (its component's top, raisings to reach it)
+    buckets: dict = {}  # top -> members, in order of the first member
+    for pos in range(len(graph)):
+        chain = [pos]
+        while chain[-1] not in tops and (up := _raised(rs, Lambda, graph, chain[-1])) is not None:
+            chain.append(up)
+        top, steps = tops.get(chain[-1], (chain[-1], 0))
+        for p in reversed(chain):
+            tops[p] = (top, steps)
+            steps += 1
+        if tops[pos][1] >= raise_cap:
+            raise DecompositionError("raising exceeded the step cap")
         buckets.setdefault(top, []).append(pos)
-
-    highest = highest_candidates(rs, Lambda, graph)
-    if set(buckets) != {P.concat(base, graph.nodes[pos]) for pos in highest}:
-        raise DecompositionError("component tops do not match the highest candidates")
-
     components = []
-    for top, members in sorted(buckets.items(), key=lambda kv: min(kv[1])):
+    for top, members in buckets.items():
         keys = [hd_key(rs, full_weight(graph, pos)) for pos in members]
         top_key = max(keys, key=lambda k: hd_height(rs, k))
         if keys.count(top_key) != 1 or not all(dominance_leq(rs, k, top_key) for k in keys):
@@ -129,7 +126,8 @@ def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
         mu = hd_finite_part(top_key)
         if any(c < 0 for c in mu):
             raise DecompositionError(f"component top {top_key} is not dominant")
-        components.append(Component(tuple(mu), int(hd_delta(top_key)), members, top))
+        components.append(Component(tuple(mu), int(hd_delta(top_key)), members,
+                                    P.concat(P.straight(Lambda), graph.nodes[top])))
     return DemazureImage(graph, components)
 
 
@@ -143,20 +141,6 @@ def lam_bar_coeffs(rs: RootSystem, lam: Weight) -> tuple:
 def lam_prime(rs: RootSystem, lam: Weight) -> Weight:
     """The part of lam invisible to the short subsystem (may be fractional)."""
     return rs.sub(lam, rs.include_sh(rs.restrict_sh(lam)))
-
-
-def sh_embed(rs: RootSystem, lam: Weight, short_path: P.Path) -> P.Path:
-    """Transport a short-system path: split each direction and add the
-    straight line of the invisible part.  The result has integral directions
-    whenever the input directions lie in the restricted orbit."""
-    lp = lam_prime(rs, lam)
-    dirs = []
-    for nu in short_path.dirs:
-        d = rs.add(rs.include_sh(nu), lp)
-        if any(isinstance(c, Fraction) for c in d):
-            raise DecompositionError(f"embedded direction {d} is not integral")
-        dirs.append(d)
-    return P.make_path(dirs, short_path.sigmas)
 
 
 def peel_short_filtration(rs: RootSystem, lam: Weight, cap: int = NODE_CAP):

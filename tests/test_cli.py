@@ -141,6 +141,16 @@ def test_filtration_honours_the_node_cap(capsys):
         assert ("node cap 1 exceeded" in err) == (want == 2)
 
 
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_raise_cap_bounds_the_longest_raising_chain(capsys, command):
+    # the longest raising chain of G2 (0,3) has 27 steps
+    argv = [command, "--type", "G", "--rank", "2", "--weight", "0,3", "--raise-cap"]
+    code, _, err = run(capsys, argv + ["27"])
+    assert code == 2 and "raising exceeded the step cap" in err
+    code, _, err = run(capsys, argv + ["28"])
+    assert code == 0 and err == ""
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["crystal", "--type", "A", "--rank", "1"])  # no --weight

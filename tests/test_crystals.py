@@ -162,6 +162,27 @@ def test_classically_highest_seed():
     assert 0 in highest  # the straight seed admits no finite raising
 
 
+def _classically_highest_by_eps(graph):
+    """The classically highest positions, read from the path statistics."""
+    rs = graph.rs
+    return [
+        pos for pos, path in enumerate(graph.nodes)
+        if all(P.eps_phi(rs, i, path)[0] == 0 for i in rs.finite_nodes)
+    ]
+
+
+def test_classically_highest_matches_path_statistics(any_rs):
+    weights = [any_rs.varpi(i) for i in any_rs.finite_nodes]
+    weights += [
+        any_rs.weight_of(coeffs)
+        for letter, rank, coeffs in [("F", 4, (0, 0, 0, 2)), ("B", 4, (0, 0, 0, 2)), ("G", 2, (0, 3))]
+        if (letter, rank) == (any_rs.letter, any_rs.rank)
+    ]
+    for lam in weights:
+        graph = C.level_zero_cached(any_rs, lam)
+        assert C.classically_highest(graph) == _classically_highest_by_eps(graph)
+
+
 def test_exports():
     g = C.generate_level_zero(A1, A1.varpi(1))
     payload = C.graph_to_json(g, with_degrees=True)

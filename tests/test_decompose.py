@@ -1,5 +1,10 @@
+import dataclasses
+import itertools
+from fractions import Fraction
+
 import pytest
 
+from conftest import ALL_TYPES
 from pathcrystals import characters as CH
 from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
@@ -150,13 +155,154 @@ def test_image_unique_killed_member_per_component():
         assert P.concat(base, image.graph.nodes[killed[0]]) == comp.top_path
 
 
+# -- route (c) against the raising loop it replaced ------------------------------
+
+def _raise_to_highest(rs, path, cap):
+    for _ in range(cap):
+        for i in rs.nodes:
+            up = P.e_op(rs, i, path)
+            if up is not None:
+                path = up
+                break
+        else:
+            return path
+    raise DC.DecompositionError("raising exceeded the step cap")
+
+
+def _reference_components(rs, graph, Lambda):
+    """(top path, members) per component, ordered by first member, found by
+    raising every concatenation with the path operators."""
+    base = P.straight(Lambda)
+    buckets = {}
+    for pos, path in enumerate(graph.nodes):
+        top = _raise_to_highest(rs, P.concat(base, path), DC.RAISE_CAP)
+        buckets.setdefault(top, []).append(pos)
+
+    # the tops are exactly the elements above the Lambda thresholds
+    highest = [
+        pos for pos, path in enumerate(graph.nodes)
+        if all(P.min_h(rs, path, i) >= -Lambda[i] for i in rs.nodes)
+    ]
+    assert set(buckets) == {P.concat(base, graph.nodes[pos]) for pos in highest}
+    assert DC.highest_candidates(rs, Lambda, graph) == highest
+    return sorted(buckets.items(), key=lambda kv: min(kv[1]))
+
+
+def _assert_walk_matches_reference(rs, graph):
+    for Lambda in (rs.fundamental(0), rs.scale(2, rs.fundamental(0))):
+        image = DC.decompose_tensor_image(rs, graph, Lambda=Lambda)
+        want = _reference_components(rs, graph, Lambda)
+        assert [(c.top_path, c.members) for c in image.components] == want
+        tops = [
+            _pairwise_top_key(rs, [hd_key(rs, C.full_weight(graph, pos)) for pos in members])
+            for _, members in want
+        ]
+        assert image.multiset() == sorted((k[:-1], k[-1]) for k in tops)
+
+
+# weights of at most 100 nodes whose crystal does not generate yet: the
+# offset-generator check of generate_level_zero rejects them
+NOT_GENERATED = {("B", 2, (2, 1)), ("C", 2, (1, 2))}
+
+
+def _small_weights(rs, bound=100):
+    """Every nonzero dominant weight whose level-zero crystal has at most
+    ``bound`` nodes.  That size is the product of the fundamental crystal
+    sizes raised to the coefficients."""
+    sizes = []
+    for i in rs.finite_nodes:
+        try:
+            sizes.append(len(C.generate_level_zero(rs, rs.varpi(i), bound + 1)))
+        except C.GenerationError:
+            sizes.append(bound + 1)
+    out = []
+    for coeffs in itertools.product(range(7), repeat=rs.rank):
+        size = 1
+        for s, c in zip(sizes, coeffs):
+            size *= s**c
+        if any(coeffs) and size <= bound:
+            out.append(coeffs)
+    return out
+
+
+def test_small_weights_are_the_101_generating_ones():
+    count = 0
+    for letter, rank in ALL_TYPES:
+        weights = _small_weights(root_system(letter, rank))
+        count += len([c for c in weights if (letter, rank, c) not in NOT_GENERATED])
+    assert count == 101
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES, ids=lambda v: str(v))
+def test_walk_matches_raising_reference_on_small_weights(letter, rank):
+    rs = root_system(letter, rank)
+    for coeffs in _small_weights(rs):
+        if (letter, rank, coeffs) not in NOT_GENERATED:
+            _assert_walk_matches_reference(rs, C.level_zero_cached(rs, rs.weight_of(coeffs)))
+
+
+@pytest.mark.parametrize(
+    "letter,rank,coeffs",
+    [("F", 4, (0, 0, 0, 2)), ("B", 4, (0, 0, 0, 2)), ("G", 2, (0, 3))],
+)
+def test_walk_matches_raising_reference_on_large_weights(letter, rank, coeffs):
+    rs = root_system(letter, rank)
+    _assert_walk_matches_reference(rs, C.level_zero_cached(rs, rs.weight_of(coeffs)))
+
+
+def test_image_calls_no_operator_and_one_concat_per_component(monkeypatch):
+    graph = C.generate_level_zero(C2, C2.weight_of((2, 1)))
+    calls = []
+
+    def counted(name):
+        op = getattr(P, name)
+
+        def call(*args):
+            calls.append(name)
+            return op(*args)
+        return call
+
+    for name in ("e_op", "f_op", "eps_phi", "concat"):
+        monkeypatch.setattr(P, name, counted(name))
+    image = DC.decompose_tensor_image(C2, graph)
+    assert calls == ["concat"] * len(image.components)
+
+
+def test_image_rejects_a_shifted_raising_edge():
+    graph = C.generate_level_zero(C2, C2.weight_of((2, 0)))
+    Lambda = C2.fundamental(0)
+    # the first raising of the first element below the thresholds
+    pos, i = next(
+        (pos, i) for pos, path in enumerate(graph.nodes) for i in C2.nodes
+        if P.min_h(C2, path, i) < -Lambda[i]
+    )
+    edges = dict(graph.e_edges)
+    edges[(pos, i)] = (edges[(pos, i)][0], 1)
+    with pytest.raises(DC.DecompositionError, match="shifts"):
+        DC.decompose_tensor_image(C2, dataclasses.replace(graph, e_edges=edges))
+
+
 # -- the short embedding -----------------------------------------------------------
+
+def sh_embed(rs, lam, short_path):
+    """Transport a short-system path: split each direction and add the
+    straight line of the invisible part.  The result has integral directions
+    whenever the input directions lie in the restricted orbit."""
+    lp = DC.lam_prime(rs, lam)
+    dirs = []
+    for nu in short_path.dirs:
+        d = rs.add(rs.include_sh(nu), lp)
+        if any(isinstance(c, Fraction) for c in d):
+            raise DC.DecompositionError(f"embedded direction {d} is not integral")
+        dirs.append(d)
+    return P.make_path(dirs, short_path.sigmas)
+
 
 def test_sh_embed_straight_seed(nsl_rs):
     lam = nsl_rs.weight_of(tuple(1 for _ in nsl_rs.finite_nodes))
     sh = nsl_rs.short_system()
     short_seed = P.straight(nsl_rs.restrict_sh(lam))
-    assert DC.sh_embed(nsl_rs, lam, short_seed) == P.straight(lam)
+    assert sh_embed(nsl_rs, lam, short_seed) == P.straight(lam)
 
 
 def test_sh_embed_weight_law():
@@ -166,7 +312,7 @@ def test_sh_embed_weight_law():
     graph = C.generate_level_zero(sh, bar)
     lp = DC.lam_prime(C2, lam)
     for path in graph.nodes:
-        image = DC.sh_embed(C2, lam, path)
+        image = sh_embed(C2, lam, path)
         want = C2.add(C2.include_sh(path.endpoint()), lp)
         assert image.endpoint() == want
 
@@ -183,7 +329,7 @@ def test_sh_embed_bijection_onto_short_cone(letter, rank, coeffs):
 
     anchored_images = set()
     for path in short_graph.nodes:
-        image = DC.sh_embed(rs, lam, path)
+        image = sh_embed(rs, lam, path)
         offset = image.initial_direction()[-1]
         minus = (0,) * (rs.rank + 1) + (-offset,)
         anchored_images.add(P.shift(image, minus))

@@ -3,7 +3,7 @@
 Each case runs ``cli.main`` in process and compares its stdout with
 ``tests/golden/<id>.out``.  The cases are the README commands, their
 ``--format tsv`` / ``--format dot`` variants where the command has them,
-``decompose --nodes``, the largest verify case of the ROADMAP and the
+``decompose --nodes`` on C2 (2,0) and G2 (0,3), the largest verify case of the ROADMAP and the
 filtration of G2 (0,4), the one small weight where several dominant keys
 are maximal at once during the peel.
 """
@@ -29,6 +29,7 @@ CASES = [
     ("decompose-C2", ["decompose", "--type", "C", "--rank", "2", "--weight", "2,0"], 0),
     ("decompose-C2-tsv", ["decompose", "--type", "C", "--rank", "2", "--weight", "2,0", "--format", "tsv"], 0),
     ("decompose-C2-nodes", ["decompose", "--type", "C", "--rank", "2", "--weight", "2,0", "--nodes"], 0),
+    ("decompose-G2-03-nodes", ["decompose", "--type", "G", "--rank", "2", "--weight", "0,3", "--nodes"], 0),
     ("filtration-G2", ["filtration", "--type", "G", "--rank", "2", "--weight", "0,2"], 0),
     ("filtration-G2-tsv", ["filtration", "--type", "G", "--rank", "2", "--weight", "0,2", "--format", "tsv"], 0),
     ("filtration-G2-04", ["filtration", "--type", "G", "--rank", "2", "--weight", "0,4"], 0),
