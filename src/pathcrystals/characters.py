@@ -113,34 +113,26 @@ def hd_delta(key):
 
 # -- lattice predicates ------------------------------------------------------
 
-def _alpha_expand_diff(rs: RootSystem, lam_finite, key_finite):
-    diff = [a - b for a, b in zip(lam_finite, key_finite, strict=True)]
-    return rs.classical_alpha_expand((0,) + tuple(diff))
+def _alpha_numerators_diff(rs: RootSystem, lam_finite, key_finite):
+    return rs.alpha_numerators([a - b for a, b in zip(lam_finite, key_finite, strict=True)])
 
 
 def in_q_plus(rs: RootSystem, lam_finite, key_finite) -> bool:
     """lam - key is a nonnegative integer sum of simple roots."""
-    coeffs = _alpha_expand_diff(rs, lam_finite, key_finite)
-    return all(isinstance(c, int) and c >= 0 for c in coeffs)
+    den = rs.alpha_den
+    return all(v >= 0 and v % den == 0 for v in _alpha_numerators_diff(rs, lam_finite, key_finite))
 
 
 def in_q_plus_short(rs: RootSystem, lam_finite, key_finite) -> bool:
     """lam - key is a nonnegative integer sum of short simple roots."""
-    coeffs = _alpha_expand_diff(rs, lam_finite, key_finite)
-    for node, c in zip(rs.finite_nodes, coeffs):
-        if not isinstance(c, int):
-            return False
+    den = rs.alpha_den
+    for node, v in zip(rs.finite_nodes, _alpha_numerators_diff(rs, lam_finite, key_finite)):
         if node in rs.short_nodes:
-            if c < 0:
+            if v < 0 or v % den:
                 return False
-        elif c != 0:
+        elif v != 0:
             return False
     return True
-
-
-def _height(rs: RootSystem, key_finite):
-    """Sum of the simple-root coefficients: strictly increasing along Q_+."""
-    return sum(rs.classical_alpha_expand((0,) + tuple(key_finite)))
 
 
 def hd_below_short(rs: RootSystem, lam: Weight):
@@ -192,7 +184,7 @@ def finite_char(rs: RootSystem, mu_coeffs) -> Character:
 def hd_height(rs: RootSystem, key):
     """Height of the finite part minus the grading.  It strictly increases
     along dominance_leq, so a key that maximises it is maximal."""
-    return _height(rs, hd_finite_part(key)) - hd_delta(key)
+    return rs.height(hd_finite_part(key)) - hd_delta(key)
 
 
 def dominance_leq(rs: RootSystem, key1, key2) -> bool:
@@ -217,9 +209,12 @@ def peel_demazure(rs: RootSystem, ch: Character, char_of) -> list:
     the input was not a nonnegative sum of blocks.
     """
     residue = Character(ch)
+    # stripping only removes keys (a new one would be negative), so every
+    # height is computed once
+    height = {k: hd_height(rs, k) for k in residue}
     out = []
     while residue:
-        top = max(residue, key=lambda k: hd_height(rs, k))
+        top = max(residue, key=height.__getitem__)
         nu, m, mult = hd_finite_part(top), hd_delta(top), residue[top]
         if any(c < 0 for c in nu):
             raise CharacterError(f"maximal key {top} is not dominant")

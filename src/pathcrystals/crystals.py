@@ -60,18 +60,20 @@ def _closure(rs, seed_paths, ops, cap, normalizer=None):
         if not P.is_integral(rs, seed):
             raise P.PathError("seed path is not integral")
         intern(seed)
+    # e_i f_i = id: an edge found from one end is stored at both, with the
+    # shift negated, and an operator runs only while its edge is unknown
     head = 0
     while head < len(nodes):
         pos = head
         head += 1
         path = nodes[pos]
         for i in ops:
-            down = P.f_op(rs, i, path)
-            if down is not None:
-                f_edges[(pos, i)] = intern(down)
-            up = P.e_op(rs, i, path)
-            if up is not None:
-                e_edges[(pos, i)] = intern(up)
+            if (pos, i) not in f_edges and (down := P.f_op(rs, i, path)) is not None:
+                tgt, shift = f_edges[(pos, i)] = intern(down)
+                e_edges[(tgt, i)] = (pos, -shift)
+            if (pos, i) not in e_edges and (up := P.e_op(rs, i, path)) is not None:
+                tgt, shift = e_edges[(pos, i)] = intern(up)
+                f_edges[(tgt, i)] = (pos, -shift)
     return CrystalGraph(rs, nodes, index, f_edges, e_edges)
 
 

@@ -2,9 +2,10 @@
 
 A Demazure crystal is built by applying full lowering strings along a word
 inside the path model of the ambient highest-weight crystal; its character
-is the plain weight sum over the node set.  A divided-difference construction
-of the same character is kept alongside as a cross-check oracle: the two
-computations share nothing but the word.
+is the plain weight sum over the node set.  The Demazure character formula
+builds the same character by divided differences, sharing nothing with the
+crystal but the word.  The formula builds the route (b) blocks; the crystal
+sum is the ``demazure`` command's engine and the formula's reference.
 """
 
 from __future__ import annotations
@@ -56,11 +57,17 @@ def demazure_params(rs: RootSystem, level: int, lam_coeffs, m: int = 0) -> Demaz
 
 
 def f_string_closure(rs: RootSystem, paths, i: int, cap: int = NODE_CAP):
-    """Close an ordered node set under the full lowering string at one node."""
+    """Close an ordered node set under the full lowering string at one node.
+
+    A walk stops at a node an earlier walk passed, whose string below is in
+    already; the node order and the point where the cap trips do not change.
+    """
     out = dict.fromkeys(paths)
+    walked = set()
     for path in paths:
         cur = path
-        while True:
+        while cur not in walked:
+            walked.add(cur)
             cur = P.f_op(rs, i, cur)
             if cur is None:
                 break
@@ -84,7 +91,11 @@ def demazure_crystal(spec: DemazureSpec, cap: int = NODE_CAP):
 
 
 def demazure_graph(spec: DemazureSpec, cap: int = NODE_CAP) -> CrystalGraph:
-    """The Demazure node set with the operator edges staying inside it."""
+    """The Demazure node set with the operator edges staying inside it.
+
+    The e-edges are the recorded f-edges reversed; a node that some e_i
+    raises (epsilon_i > 0) without a recorded e_i-edge would leave the set.
+    """
     rs = spec.rs
     nodes = demazure_crystal(spec, cap)
     index = {p: k for k, p in enumerate(nodes)}
@@ -92,14 +103,14 @@ def demazure_graph(spec: DemazureSpec, cap: int = NODE_CAP) -> CrystalGraph:
     e_edges = {}
     for pos, path in enumerate(nodes):
         for i in rs.nodes:
-            down = P.f_op(rs, i, path)
-            if down is not None and down in index:
-                f_edges[(pos, i)] = (index[down], 0)
-            up = P.e_op(rs, i, path)
-            if up is not None:
-                if up not in index:
-                    raise GenerationError("raising left the Demazure node set")
-                e_edges[(pos, i)] = (index[up], 0)
+            tgt = index.get(P.f_op(rs, i, path))
+            if tgt is not None:
+                f_edges[(pos, i)] = (tgt, 0)
+                e_edges[(tgt, i)] = (pos, 0)
+    for pos, path in enumerate(nodes):
+        for i in rs.nodes:
+            if (pos, i) not in e_edges and P.eps_phi(rs, i, path)[0] > 0:
+                raise GenerationError("raising left the Demazure node set")
     return CrystalGraph(rs, list(nodes), index, f_edges, e_edges)
 
 
@@ -115,14 +126,24 @@ def demazure_character(spec: DemazureSpec, restrict_to_hd: bool = False,
 
 
 @lru_cache(maxsize=None)
-def _block_char(rs: RootSystem, level: int, mu: tuple, m: int, cap: int) -> Character:
-    return demazure_character(demazure_params(rs, level, mu, m), restrict_to_hd=True, cap=cap)
+def _block_char(rs: RootSystem, level: int, mu: tuple, m: int) -> Character:
+    return demazure_character_oracle(demazure_params(rs, level, mu, m), restrict_to_hd=True)
 
 
 def block_char(rs: RootSystem, level: int, mu, m: int, cap: int = NODE_CAP) -> Character:
     """Restricted character of the level-``level`` block with top key
-    ``mu + m delta``, memoised per cap; the caller gets its own copy."""
-    return Character(_block_char(rs, level, tuple(mu), m, cap))
+    ``mu + m delta``, by the Demazure character formula; the caller gets its
+    own copy.
+
+    The cap bounds the block's node count, its mass, as it bounds the string
+    closures of :func:`demazure_character`, which count only the nodes the
+    strings add: a one-node block passes any cap.
+    """
+    ch = _block_char(rs, level, tuple(mu), m)
+    mass = ch.mass()
+    if mass > cap and mass > 1:
+        raise GenerationError(f"node cap {cap} exceeded")
+    return Character(ch)
 
 
 def _divided_difference(rs: RootSystem, i: int, ch: Character) -> Character:
@@ -132,16 +153,19 @@ def _divided_difference(rs: RootSystem, i: int, ch: Character) -> Character:
     for key, coeff in ch.items():
         k = key[i]
         if k >= 0:
-            for j in range(k + 1):
-                out.add_term(rs.sub(key, rs.scale(j, alpha)), coeff)
-        else:
-            for j in range(1, -k):
-                out.add_term(rs.add(key, rs.scale(j, alpha)), -coeff)
+            js, c = range(k + 1), coeff
+        else:  # the strict interior of the string, negated
+            js, c = range(-1, k, -1), -coeff
+        for j in js:
+            out.add_term(tuple(a - j * b for a, b in zip(key, alpha)), c)
     return out
 
 
 def demazure_character_oracle(spec: DemazureSpec, restrict_to_hd: bool = False) -> Character:
-    """The same character by divided differences, sharing only the word."""
+    """The same character by the Demazure character formula: the divided
+    differences of the word applied to e^Lambda (Kumar, Invent. Math. 89,
+    1987; Littelmann, Ann. of Math. 142, 1995).  It shares only the word
+    with the crystal."""
     ch = Character.monomial(spec.Lambda)
     for i in reversed(spec.word):
         ch = _divided_difference(spec.rs, i, ch)

@@ -128,11 +128,13 @@ class RootSystem:
         self._tau = tau
         # finite Cartan inverse, stored as integer numerators over one
         # denominator: the adjugate over the determinant
-        self._inv_den = _det(cartan)
+        self.alpha_den = _det(cartan)
         self._inv_num = tuple(
             tuple((-1) ** (i + j) * _det(_minor(cartan, j, i)) for j in range(rank))
             for i in range(rank)
         )
+        # the inverse's column sums: the height of x is their pairing with x
+        self._height_num = tuple(sum(col) for col in zip(*self._inv_num))
 
         n = rank
         # affine Cartan: row 0 / column 0 from theta and theta^vee
@@ -315,14 +317,24 @@ class RootSystem:
             raise AssertionError(f"Weyl dimension {num}/{den} is not an integer")
         return num // den
 
+    def alpha_numerators(self, finite) -> tuple:
+        """Numerators over ``alpha_den`` of the coefficients on
+        (alpha_1..alpha_n) of the weight with finite pairings ``finite``."""
+        return tuple(sum(a * c for a, c in zip(row, finite)) for row in self._inv_num)
+
+    def height(self, finite):
+        """Sum of the simple-root coefficients of the weight with finite
+        pairings ``finite``."""
+        return normalize_entry(
+            Fraction(sum(a * c for a, c in zip(self._height_num, finite)), self.alpha_den)
+        )
+
     def classical_alpha_expand(self, x: Weight):
         """Coefficients on (alpha_1..alpha_n) of the classical part of x, read
         off the stored Cartan inverse; integral entries come out as ints."""
-        den = self._inv_den
-        return tuple(
-            normalize_entry(Fraction(sum(a * x[j] for j, a in enumerate(row, start=1)), den))
-            for row in self._inv_num
-        )
+        den = self.alpha_den
+        return tuple(normalize_entry(Fraction(v, den))
+                     for v in self.alpha_numerators(x[1:self.rank + 1]))
 
     # -- short subsystem -------------------------------------------------
 

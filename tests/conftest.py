@@ -1,3 +1,4 @@
+import itertools
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
+from pathcrystals import crystals as C
 from pathcrystals.rootdata import root_system
 
 ALL_TYPES = [
@@ -15,6 +17,46 @@ ALL_TYPES = [
 ]
 
 NON_SIMPLY_LACED = [t for t in ALL_TYPES if t[0] in "BCGF"]
+
+# the three largest verify cases of the ROADMAP
+LARGE_WEIGHTS = [("F", 4, (0, 0, 0, 2)), ("B", 4, (0, 0, 0, 2)), ("G", 2, (0, 3))]
+
+# the crystal exports of the benchmark; A4 (1,1,1,1) is the largest crystal
+EXPORT_WEIGHTS = [("A", 4, (1, 1, 1, 1)), ("C", 3, (1, 1, 1)), ("D", 4, (0, 2, 0, 0))]
+
+# weights of at most 100 nodes whose crystal does not generate yet: the
+# offset-generator check of generate_level_zero rejects them
+NOT_GENERATED = {("B", 2, (2, 1)), ("C", 2, (1, 2))}
+
+
+def small_weights(rs, bound=100):
+    """Every nonzero dominant weight whose level-zero crystal has at most
+    ``bound`` nodes.  That size is the product of the fundamental crystal
+    sizes raised to the coefficients."""
+    sizes = []
+    for i in rs.finite_nodes:
+        try:
+            sizes.append(len(C.generate_level_zero(rs, rs.varpi(i), bound + 1)))
+        except C.GenerationError:
+            sizes.append(bound + 1)
+    out = []
+    for coeffs in itertools.product(range(7), repeat=rs.rank):
+        size = 1
+        for s, c in zip(sizes, coeffs):
+            size *= s**c
+        if any(coeffs) and size <= bound:
+            out.append(coeffs)
+    return out
+
+
+def sweep_weights():
+    """The 101 small weights that generate, as (letter, rank, coeffs)."""
+    return [
+        (letter, rank, coeffs)
+        for letter, rank in ALL_TYPES
+        for coeffs in small_weights(root_system(letter, rank))
+        if (letter, rank, coeffs) not in NOT_GENERATED
+    ]
 
 
 @pytest.fixture(params=ALL_TYPES, ids=lambda t: f"{t[0]}{t[1]}")

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import LARGE_WEIGHTS, sweep_weights
 from pathcrystals import characters as CH
+from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
 from pathcrystals.characters import Character
 from pathcrystals.demazure import block_char, demazure_character, demazure_params
@@ -260,3 +262,65 @@ def test_char_json_sorted():
     ch = Character.monomial((1, 0)).added(Character.monomial((-1, 2), 4))
     blob = CH.char_to_json(ch)
     assert blob == sorted(blob, key=lambda r: tuple(map(str, r["weight"])))
+
+
+# -- the integer lattice predicates against the Fraction versions they replaced -------
+
+def _in_q_plus_fractions(rs, lam_finite, key_finite):
+    diff = [a - b for a, b in zip(lam_finite, key_finite, strict=True)]
+    coeffs = rs.classical_alpha_expand((0,) + tuple(diff))
+    return all(isinstance(c, int) and c >= 0 for c in coeffs)
+
+
+def _in_q_plus_short_fractions(rs, lam_finite, key_finite):
+    diff = [a - b for a, b in zip(lam_finite, key_finite, strict=True)]
+    coeffs = rs.classical_alpha_expand((0,) + tuple(diff))
+    for node, c in zip(rs.finite_nodes, coeffs):
+        if not isinstance(c, int):
+            return False
+        if node in rs.short_nodes:
+            if c < 0:
+                return False
+        elif c != 0:
+            return False
+    return True
+
+
+def _hd_height_fractions(rs, key):
+    return sum(rs.classical_alpha_expand((0,) + tuple(key[:-1]))) - key[-1]
+
+
+def test_lattice_predicates_match_the_fraction_versions():
+    compared = 0
+    for letter, rank, coeffs in sweep_weights() + LARGE_WEIGHTS:
+        rs = root_system(letter, rank)
+        lam = rs.weight_of(coeffs)
+        keys = list(DC.path_side_char(rs, C.level_zero_cached(rs, lam)))
+        lam_f = CH.finite_key(rs, lam)
+        # each key against lam, against the first and the highest key, both ways
+        anchors = [lam_f, keys[0][:-1], max(keys, key=lambda k: _hd_height_fractions(rs, k))[:-1]]
+        for key in keys:
+            assert CH.hd_height(rs, key) == _hd_height_fractions(rs, key)
+            for anchor in anchors:
+                for a, b in ((anchor, key[:-1]), (key[:-1], anchor)):
+                    assert CH.in_q_plus(rs, a, b) == _in_q_plus_fractions(rs, a, b)
+                    if not rs.is_simply_laced:
+                        assert CH.in_q_plus_short(rs, a, b) == _in_q_plus_short_fractions(rs, a, b)
+                    compared += 1
+    assert compared > 10_000
+
+
+def test_lattice_predicates_on_fractional_differences():
+    # a difference off the root lattice is in no cone, however it is signed
+    zero = (0, 0)
+    for rs in (A2, C2, G2):
+        half = (Fraction(1, 2), 0)
+        cases = [(half, zero, False), (zero, half, False), (half, half, True)]
+        if not rs.is_simply_laced:
+            # half a short simple root: coefficient 1/2 on its node alone
+            short = rs.simple_root(rs.short_nodes[0])[1:3]
+            cases += [(tuple(Fraction(c, 2) for c in short), zero, False), (short, zero, True)]
+        for a, b, want in cases:
+            assert CH.in_q_plus(rs, a, b) == _in_q_plus_fractions(rs, a, b) == want
+            if not rs.is_simply_laced:
+                assert CH.in_q_plus_short(rs, a, b) == _in_q_plus_short_fractions(rs, a, b) == want

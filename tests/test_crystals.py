@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import affine_orbit_bounded
+from conftest import EXPORT_WEIGHTS, LARGE_WEIGHTS, affine_orbit_bounded, sweep_weights
 from pathcrystals import crystals as C
 from pathcrystals import paths as P
 from pathcrystals.rootdata import root_system
@@ -190,3 +190,121 @@ def test_exports():
     assert all(rec["degree"] == 0 for rec in payload["nodes"])
     dot = C.graph_to_dot(g)
     assert dot.startswith("digraph") and dot.count("->") == len(g.f_edges)
+
+
+# -- the closure against the two-call loop it replaced ---------------------------
+
+def _two_call_closure(rs, seed_paths, ops, cap, normalizer=None):
+    """The closure as it was: f_op and e_op from every node."""
+    nodes = []
+    index = {}
+    f_edges = {}
+    e_edges = {}
+
+    def intern(path):
+        shift = 0
+        if normalizer is not None:
+            path, shift = normalizer(path)
+        pos = index.get(path)
+        if pos is None:
+            pos = len(nodes)
+            if pos >= cap:
+                raise C.GenerationError(f"node cap {cap} exceeded")
+            nodes.append(path)
+            index[path] = pos
+        return pos, shift
+
+    for seed in seed_paths:
+        if not P.is_integral(rs, seed):
+            raise P.PathError("seed path is not integral")
+        intern(seed)
+    head = 0
+    while head < len(nodes):
+        pos = head
+        head += 1
+        path = nodes[pos]
+        for i in ops:
+            down = P.f_op(rs, i, path)
+            if down is not None:
+                f_edges[(pos, i)] = intern(down)
+            up = P.e_op(rs, i, path)
+            if up is not None:
+                e_edges[(pos, i)] = intern(up)
+    return C.CrystalGraph(rs, nodes, index, f_edges, e_edges)
+
+
+def _closure_weights():
+    return sweep_weights() + LARGE_WEIGHTS + EXPORT_WEIGHTS
+
+
+def _assert_same_graph(got, want):
+    assert got.nodes == want.nodes
+    assert got.index == want.index
+    assert got.f_edges == want.f_edges
+    assert got.e_edges == want.e_edges
+
+
+def test_closure_matches_two_call_reference(monkeypatch):
+    weights = _closure_weights()
+    assert len(weights) == 107
+    for letter, rank, coeffs in weights:
+        rs = root_system(letter, rank)
+        lam = rs.weight_of(coeffs)
+        got = C.generate_level_zero(rs, lam)
+        with monkeypatch.context() as m:
+            m.setattr(C, "_closure", _two_call_closure)
+            want = C.generate_level_zero(rs, lam)
+        _assert_same_graph(got, want)
+        if len(got) <= 100:
+            seed = P.straight(rs.cl(lam))
+            _assert_same_graph(C.finite_closure(rs, coeffs),
+                               _two_call_closure(rs, [seed], tuple(rs.finite_nodes), C.NODE_CAP))
+            _assert_same_graph(C.generate(rs, seed, rs.nodes),
+                               _two_call_closure(rs, [seed], tuple(rs.nodes), C.NODE_CAP))
+
+
+@pytest.mark.parametrize("letter,rank,coeffs", [("C", 2, (1, 1)), ("G", 2, (0, 2))])
+def test_closure_trips_the_cap_where_the_reference_does(monkeypatch, letter, rank, coeffs):
+    rs = root_system(letter, rank)
+    lam = rs.weight_of(coeffs)
+    size = len(C.generate_level_zero(rs, lam))
+    for cap in (size - 1, size):
+        outcomes = []
+        for closure in (C._closure, _two_call_closure):
+            with monkeypatch.context() as m:
+                m.setattr(C, "_closure", closure)
+                try:
+                    outcomes.append(len(C.generate_level_zero(rs, lam, cap)))
+                except C.GenerationError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == size
+
+
+def test_closure_finds_each_edge_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        op = getattr(P, name)
+
+        def call(rs, i, path):
+            out = op(rs, i, path)
+            if out is not None:
+                calls.append((name, path, i))
+            return out
+        return call
+
+    for letter, rank, coeffs in _closure_weights():
+        rs = root_system(letter, rank)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(P, "f_op", counted("f_op"))
+            m.setattr(P, "e_op", counted("e_op"))
+            graph = C.generate_level_zero(rs, rs.weight_of(coeffs))
+        # name every result by the f-edge it found: (source, node)
+        found = []
+        for name, path, i in calls:
+            pos = graph.index[path]
+            found.append((pos, i) if name == "f_op" else (graph.e_edges[(pos, i)][0], i))
+        assert len(found) == len(set(found))
+        assert set(found) == set(graph.f_edges)

@@ -1,10 +1,10 @@
 import dataclasses
-import itertools
 from fractions import Fraction
 
 import pytest
 
-from conftest import ALL_TYPES
+from conftest import ALL_TYPES, NOT_GENERATED
+from conftest import small_weights as _small_weights
 from pathcrystals import characters as CH
 from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
@@ -198,31 +198,6 @@ def _assert_walk_matches_reference(rs, graph):
             for _, members in want
         ]
         assert image.multiset() == sorted((k[:-1], k[-1]) for k in tops)
-
-
-# weights of at most 100 nodes whose crystal does not generate yet: the
-# offset-generator check of generate_level_zero rejects them
-NOT_GENERATED = {("B", 2, (2, 1)), ("C", 2, (1, 2))}
-
-
-def _small_weights(rs, bound=100):
-    """Every nonzero dominant weight whose level-zero crystal has at most
-    ``bound`` nodes.  That size is the product of the fundamental crystal
-    sizes raised to the coefficients."""
-    sizes = []
-    for i in rs.finite_nodes:
-        try:
-            sizes.append(len(C.generate_level_zero(rs, rs.varpi(i), bound + 1)))
-        except C.GenerationError:
-            sizes.append(bound + 1)
-    out = []
-    for coeffs in itertools.product(range(7), repeat=rs.rank):
-        size = 1
-        for s, c in zip(sizes, coeffs):
-            size *= s**c
-        if any(coeffs) and size <= bound:
-            out.append(coeffs)
-    return out
 
 
 def test_small_weights_are_the_101_generating_ones():
@@ -440,13 +415,13 @@ def test_verify_main_builds_the_level_one_block_once(monkeypatch):
     from pathcrystals import demazure as D
 
     builds = []
-    build = D.demazure_crystal
+    build = D.demazure_character_oracle
 
     def counted(spec, *args, **kwargs):
         builds.append((spec.level, spec.lam_coeffs, spec.m))
         return build(spec, *args, **kwargs)
 
-    monkeypatch.setattr(D, "demazure_crystal", counted)
+    monkeypatch.setattr(D, "demazure_character_oracle", counted)
     D._block_char.cache_clear()
     rep = DC.verify_main(C2, C2.weight_of((2, 1)))
     assert rep.ok

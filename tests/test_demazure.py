@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from conftest import LARGE_WEIGHTS, sweep_weights
+from pathcrystals import decompose as DC
+from pathcrystals import demazure as D
 from pathcrystals import paths as P
 from pathcrystals.characters import Character, dominance_leq, finite_char, hd_key
-from pathcrystals.crystals import GenerationError
+from pathcrystals.crystals import NODE_CAP, GenerationError
 from pathcrystals.demazure import (
     DemazureSpec,
     block_char,
@@ -13,6 +16,7 @@ from pathcrystals.demazure import (
     demazure_character_oracle,
     demazure_crystal,
     demazure_crystal_for_word,
+    demazure_graph,
     demazure_params,
     f_string_closure,
 )
@@ -217,3 +221,123 @@ def test_block_char_is_a_copy_memoised_per_cap():
     # a block built under the default cap is not served to a smaller one
     with pytest.raises(GenerationError, match="node cap 1 exceeded"):
         block_char(C2, 1, (2, 1), 0, cap=1)
+
+
+# -- string closures against the loop they replaced -------------------------------
+
+def _f_string_closure_every_walk(rs, paths, i, cap):
+    """The string closure as it was: a full walk down from every node."""
+    out = dict.fromkeys(paths)
+    for path in paths:
+        cur = path
+        while True:
+            cur = P.f_op(rs, i, cur)
+            if cur is None:
+                break
+            out[cur] = None
+            if len(out) > cap:
+                raise GenerationError(f"node cap {cap} exceeded")
+    return list(out)
+
+
+def _closure_outcome(closure, rs, nodes, i, cap):
+    try:
+        return closure(rs, nodes, i, cap)
+    except GenerationError as exc:
+        return str(exc)
+
+
+def test_string_closure_matches_the_every_walk_loop():
+    steps = 0
+    for rs in (A2, C2, G2):
+        for spec in spec_pool(rs):
+            nodes = [P.straight(spec.Lambda)]
+            for i in reversed(spec.word):
+                want = _f_string_closure_every_walk(rs, nodes, i, NODE_CAP)
+                assert f_string_closure(rs, nodes, i) == want
+                # the cap trips at the same node count
+                for cap in (len(want) - 1, len(want)):
+                    assert _closure_outcome(f_string_closure, rs, nodes, i, cap) == \
+                        _closure_outcome(_f_string_closure_every_walk, rs, nodes, i, cap)
+                nodes = want
+                steps += 1
+    assert steps > 100
+
+
+# -- the Demazure graph ---------------------------------------------------------------
+
+def test_graph_reads_raising_edges_off_the_lowering_edges():
+    for rs, coeffs in [(A2, (1, 1)), (C2, (2, 1)), (G2, (0, 2))]:
+        spec = demazure_params(rs, 1, coeffs, 0)
+        graph = demazure_graph(spec)
+        index = graph.index
+        # the e-edges the operators give, every one inside the node set
+        want = {}
+        for pos, path in enumerate(graph.nodes):
+            for i in rs.nodes:
+                up = P.e_op(rs, i, path)
+                if up is not None:
+                    want[(pos, i)] = (index[up], 0)
+        assert graph.e_edges == want
+
+
+def test_graph_rejects_a_node_set_that_is_not_raising_stable(monkeypatch):
+    spec = demazure_params(C2, 1, (1, 1), 0)
+    nodes = demazure_crystal(spec)
+    # without the highest path, the nodes right below it raise out of the set
+    monkeypatch.setattr(D, "demazure_crystal", lambda spec, cap=NODE_CAP: nodes[1:])
+    with pytest.raises(GenerationError, match="raising left the Demazure node set"):
+        demazure_graph(spec)
+
+
+# -- route (b) blocks by the character formula ----------------------------------------
+
+def _requested_blocks(monkeypatch, cases):
+    """Every (rs, level, mu, m) that verify_main asks block_char for."""
+    requests = {}
+
+    def recorded(rs, level, mu, m, cap=NODE_CAP):
+        requests[(rs, level, tuple(mu), m)] = None
+        return block_char(rs, level, mu, m, cap)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(DC, "block_char", recorded)
+        for letter, rank, coeffs in cases:
+            rs = root_system(letter, rank)
+            assert DC.verify_main(rs, rs.weight_of(coeffs)).ok
+    return list(requests)
+
+
+def _block_outcome(build, cap):
+    try:
+        return build(cap)
+    except GenerationError as exc:
+        return str(exc)
+
+
+def test_blocks_match_the_crystal_sum(monkeypatch):
+    blocks = _requested_blocks(monkeypatch, sweep_weights() + LARGE_WEIGHTS)
+    # level one, and level r = 2, 3 on the short systems
+    assert {level for _, level, _, _ in blocks} == {1, 2, 3}
+    for rs, level, mu, m in blocks:
+        spec = demazure_params(rs, level, mu, m)
+        want = demazure_character(spec, restrict_to_hd=True)
+        assert block_char(rs, level, mu, m) == want
+        mass = want.mass()
+        for cap in (mass - 1, mass):
+            assert _block_outcome(lambda c: block_char(rs, level, mu, m, c), cap) == \
+                _block_outcome(lambda c: demazure_character(spec, True, c), cap)
+        if mass > 1:
+            with pytest.raises(GenerationError, match=f"node cap {mass - 1} exceeded"):
+                block_char(rs, level, mu, m, mass - 1)
+
+
+def test_block_char_calls_no_path_operator(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a path operator ran")
+
+    for name in ("f_op", "e_op", "eps_phi", "straight"):
+        monkeypatch.setattr(P, name, forbidden)
+    D._block_char.cache_clear()
+    assert block_char(G2, 2, (1, 1), 1).mass() > 1
+    assert block_char(C2, 1, (2, 1), 0).mass() > 1
