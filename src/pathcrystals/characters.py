@@ -1,11 +1,13 @@
-"""Finitely supported integer formal sums over weight lattices.
+"""Finitely supported integer formal sums over weight lattices, and the one
+engine that computes characters from root data: the Demazure operator.
 
 A character is a dict from hashable weight keys to nonzero integers.  Three
 key shapes circulate: full affine keys ``(c_0..c_n, c_delta)``, restricted
 keys ``(c_1..c_n, c_delta)`` obtained by dropping the affine fundamental
 coordinate, and finite keys ``(c_1..c_n)``.  The restriction map erases the
 level, which is exactly what lets level-zero path weights be compared with
-level-one crystal weights.
+level-one crystal weights.  The route (b) blocks and the finite irreducibles
+both come from the Demazure operator; this module runs no path code.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import crystals as C
 from .rootdata import RootSystem, Weight, normalize_entry, normalize_weight
 
 
@@ -160,17 +161,39 @@ def i_sh_char(rs: RootSystem, ch: Character) -> Character:
     return out
 
 
-# -- finite-type irreducible characters --------------------------------------
+# -- the Demazure character formula -----------------------------------------
+
+def demazure_operator(rs: RootSystem, word, ch: Character) -> Character:
+    """Demazure operators D_{word[0]} ... D_{word[-1]} applied to a character
+    on full keys, rightmost letter first as in ``RootSystem.weyl_apply``
+    (Kumar, Invent. Math. 89, 1987; Littelmann, Ann. of Math. 142, 1995):
+    D_i e^x is the alpha_i-string from x down to s_i(x)."""
+    for i in reversed(word):
+        out = Character()
+        alpha = rs.simple_root(i)
+        for key, coeff in ch.items():
+            k = key[i]
+            if k >= 0:
+                js, c = range(k + 1), coeff
+            else:  # the strict interior of the string, negated
+                js, c = range(-1, k, -1), -coeff
+            for j in js:
+                out.add_term(tuple(a - j * b for a, b in zip(key, alpha)), c)
+        ch = out
+    return ch
+
 
 @lru_cache(maxsize=None)
 def _finite_char_cached(rs: RootSystem, mu_coeffs) -> Character:
-    graph = C.finite_closure(rs, mu_coeffs)
-    ch = Character()
-    for path in graph.nodes:
-        ch.add_term(path.endpoint()[1:], 1)
+    # the Demazure module of w_0, along a shortest word from mu to w_0(mu),
+    # is the whole irreducible module
+    mu = rs.weight_of(mu_coeffs)
+    ch = demazure_operator(rs, rs.antidominantize_finite(mu)[1], Character.monomial(mu))
+    ch = Character({key[1:-1]: c for key, c in ch.items()})
     if ch.mass() != rs.weyl_dimension(mu_coeffs):
-        raise AssertionError(f"finite crystal of {mu_coeffs} misses the Weyl dimension")
+        raise AssertionError(f"Demazure character of {mu_coeffs} misses the Weyl dimension")
     return ch
+
 
 def finite_char(rs: RootSystem, mu_coeffs) -> Character:
     """Character of the irreducible finite-type module, on finite keys."""

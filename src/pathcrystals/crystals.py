@@ -178,13 +178,6 @@ def compatible_lift_check(graph: CrystalGraph) -> list:
     return bad
 
 
-def finite_closure(rs: RootSystem, mu_coeffs, cap: int = NODE_CAP) -> CrystalGraph:
-    """Finite-type crystal: closure of the classical straight path under the
-    finite-node operators only."""
-    seed = P.straight(rs.cl(rs.weight_of(mu_coeffs)))
-    return _closure(rs, [seed], tuple(rs.finite_nodes), cap)
-
-
 # -- exports ---------------------------------------------------------------
 
 def node_id(path: P.Path) -> str:

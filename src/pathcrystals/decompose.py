@@ -11,6 +11,7 @@ multisets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -273,10 +274,22 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
         series[deg] = series.get(deg, 0) + 1
     checks["graded_multiplicities"] = graded == direct
 
+    # why a check failed: the difference of its two sides
     details = []
+    if not checks["char_a_eq_b"]:
+        details.append(f"char_a_eq_b: a - b = {a_char.added(b_char, -1)}")
+    if not checks["multiset_b_eq_c"]:
+        b_count, c_count = Counter(b_multiset), Counter(image.multiset())
+        details.append(f"multiset_b_eq_c: b - c = {sorted((b_count - c_count).elements())}, "
+                       f"c - b = {sorted((c_count - b_count).elements())}")
+    if not checks["graded_multiplicities"]:
+        differ = {mu: (graded.get(mu), direct.get(mu)) for mu in graded.keys() | direct.keys()}
+        differ = {mu: pair for mu, pair in sorted(differ.items()) if pair[0] != pair[1]}
+        details.append(f"graded_multiplicities: (decomposition, highest elements) = {differ}")
     if not rs.is_simply_laced:
-        ok, details = short_restriction_identity(rs, lam, a_char, cap)
+        ok, lines = short_restriction_identity(rs, lam, a_char, cap)
         checks["short_restriction"] = ok
+        details += lines
 
     return VerifyReport(
         crystal_size=len(graph),

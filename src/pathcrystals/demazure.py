@@ -2,10 +2,10 @@
 
 A Demazure crystal is built by applying full lowering strings along a word
 inside the path model of the ambient highest-weight crystal; its character
-is the plain weight sum over the node set.  The Demazure character formula
-builds the same character by divided differences, sharing nothing with the
-crystal but the word.  The formula builds the route (b) blocks; the crystal
-sum is the ``demazure`` command's engine and the formula's reference.
+is the plain weight sum over the node set.  The Demazure character formula,
+``characters.demazure_operator``, builds the same character sharing nothing
+with the crystal but the word.  The formula builds the route (b) blocks; the
+crystal sum is the ``demazure`` command's engine and the formula's reference.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import paths as P
-from .characters import Character, restrict_hd
+from .characters import Character, demazure_operator, restrict_hd
 from .crystals import NODE_CAP, CrystalGraph, GenerationError
 from .rootdata import RootSystem, Weight
 
@@ -47,7 +47,7 @@ def demazure_params(rs: RootSystem, level: int, lam_coeffs, m: int = 0) -> Demaz
     lam_coeffs = tuple(lam_coeffs)
     if len(lam_coeffs) != rs.rank or any(c < 0 for c in lam_coeffs):
         raise ValueError("need nonnegative coefficients, one per finite node")
-    lowest = rs.antidominantize_finite(rs.weight_of(lam_coeffs))
+    lowest, _ = rs.antidominantize_finite(rs.weight_of(lam_coeffs))
     target = rs.add(lowest, rs.weight_of((0,) * rs.rank, delta=m, level=level))
     Lam, word = rs.dominantize(target)
     spec = DemazureSpec(rs, level, lam_coeffs, m, Lam, word)
@@ -146,29 +146,10 @@ def block_char(rs: RootSystem, level: int, mu, m: int, cap: int = NODE_CAP) -> C
     return Character(ch)
 
 
-def _divided_difference(rs: RootSystem, i: int, ch: Character) -> Character:
-    """Signed alpha_i-string sum between each weight and its reflection."""
-    out = Character()
-    alpha = rs.simple_root(i)
-    for key, coeff in ch.items():
-        k = key[i]
-        if k >= 0:
-            js, c = range(k + 1), coeff
-        else:  # the strict interior of the string, negated
-            js, c = range(-1, k, -1), -coeff
-        for j in js:
-            out.add_term(tuple(a - j * b for a, b in zip(key, alpha)), c)
-    return out
-
-
 def demazure_character_oracle(spec: DemazureSpec, restrict_to_hd: bool = False) -> Character:
-    """The same character by the Demazure character formula: the divided
-    differences of the word applied to e^Lambda (Kumar, Invent. Math. 89,
-    1987; Littelmann, Ann. of Math. 142, 1995).  It shares only the word
-    with the crystal."""
-    ch = Character.monomial(spec.Lambda)
-    for i in reversed(spec.word):
-        ch = _divided_difference(spec.rs, i, ch)
+    """The same character by the Demazure operators of the word applied to
+    e^Lambda, which share only the word with the crystal."""
+    ch = demazure_operator(spec.rs, spec.word, Character.monomial(spec.Lambda))
     if restrict_to_hd:
         ch = restrict_hd(spec.rs, ch)
     return ch

@@ -283,15 +283,18 @@ class RootSystem:
             x = self.reflect(neg, x)
         raise RootDataError("dominantize exceeded the iteration cap")
 
-    def antidominantize_finite(self, lam: Weight) -> Weight:
-        """w_0(lam) for a classical weight: all finite pairings become <= 0."""
+    def antidominantize_finite(self, lam: Weight):
+        """Antidominant representative and a shortest word with it =
+        s_{j_1}...s_{j_k} lam; for dominant lam that is w_0(lam)."""
         if self.level(lam) != 0 or (len(lam) == self.rank + 2 and lam[-1] != 0):
             raise RootDataError("expected a classical (level-zero) weight")
         x = lam
+        word = []
         for _ in range(ITERATION_CAP):
             pos = next((i for i in self.finite_nodes if x[i] > 0), None)
             if pos is None:
-                return x
+                return x, tuple(reversed(word))
+            word.append(pos)
             x = self.reflect(pos, x)
         raise RootDataError("antidominantize exceeded the iteration cap")
 

@@ -7,6 +7,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import pytest
 
 from pathcrystals import crystals as C
+from pathcrystals import paths as P
+from pathcrystals.characters import Character
 from pathcrystals.rootdata import root_system
 
 ALL_TYPES = [
@@ -57,6 +59,21 @@ def sweep_weights():
         for coeffs in small_weights(root_system(letter, rank))
         if (letter, rank, coeffs) not in NOT_GENERATED
     ]
+
+
+def finite_path_crystal(rs, mu_coeffs, cap=C.NODE_CAP):
+    """Finite-type path crystal: the closure of the classical straight path
+    under the finite-node operators only."""
+    return C.generate(rs, P.straight(rs.cl(rs.weight_of(mu_coeffs))), rs.finite_nodes, cap)
+
+
+def finite_path_char(rs, mu_coeffs):
+    """Weight sum of the finite path crystal, on finite keys: the reference
+    for the irreducible characters the Demazure operator builds."""
+    ch = Character()
+    for path in finite_path_crystal(rs, mu_coeffs).nodes:
+        ch.add_term(path.endpoint()[1:], 1)
+    return ch
 
 
 @pytest.fixture(params=ALL_TYPES, ids=lambda t: f"{t[0]}{t[1]}")

@@ -1,10 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import LARGE_WEIGHTS, sweep_weights
+from conftest import ALL_TYPES, LARGE_WEIGHTS, finite_path_char, sweep_weights
 from pathcrystals import characters as CH
 from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
@@ -16,6 +20,8 @@ A1 = root_system("A", 1)
 A2 = root_system("A", 2)
 C2 = root_system("C", 2)
 G2 = root_system("G", 2)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_character_arithmetic():
@@ -115,6 +121,54 @@ def test_finite_char_weyl_invariance():
             reflected[CH.finite_key(C2, full)] += v
         reflected = Character({k: v for k, v in reflected.items() if v})
         assert reflected == ch
+
+
+def _requested_finite_chars(monkeypatch, cases):
+    """Every (rs, mu) whose irreducible character decompose_hd asks for in
+    verify_main."""
+    requests = {}
+    cached = CH._finite_char_cached
+
+    def recorded(rs, mu):
+        requests[(rs, mu)] = None
+        return cached(rs, mu)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(CH, "_finite_char_cached", recorded)
+        for letter, rank, coeffs in cases:
+            rs = root_system(letter, rank)
+            assert DC.verify_main(rs, rs.weight_of(coeffs)).ok
+    return list(requests)
+
+
+def test_finite_char_matches_the_path_crystal_on_verify_requests(monkeypatch):
+    requests = _requested_finite_chars(monkeypatch, sweep_weights() + LARGE_WEIGHTS)
+    assert len(requests) == 119
+    for rs, mu in requests:
+        assert CH.finite_char(rs, mu) == finite_path_char(rs, mu), (rs, mu)
+
+
+def test_finite_char_matches_the_path_crystal_on_small_coefficients():
+    # coefficients at most 1; the path crystal is kept to 3,000 nodes, which
+    # leaves out the 20 largest (up to 2^24 nodes for F4 (1,1,1,1))
+    checked = 0
+    for letter, rank in ALL_TYPES:
+        rs = root_system(letter, rank)
+        for mu in itertools.product((0, 1), repeat=rank):
+            if rs.weyl_dimension(mu) <= 3000:
+                assert CH.finite_char(rs, mu) == finite_path_char(rs, mu), (rs, mu)
+                checked += 1
+    assert checked == 102
+
+
+def test_characters_load_no_path_code():
+    child = "import sys, pathcrystals.characters; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m for m in proc.stdout.split() if m.startswith("pathcrystals")}
+    assert "pathcrystals.characters" in loaded
+    assert not loaded & {"pathcrystals.paths", "pathcrystals.crystals", "pathcrystals.demazure"}
 
 
 def test_graded_multiplicity_identity_cases():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from pathcrystals import cli
 from pathcrystals import decompose as DC
 from pathcrystals import demazure as D
+from pathcrystals.characters import Character
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -49,6 +51,32 @@ def test_verify_failure_prints_details_on_stderr(capsys, monkeypatch):
     assert code == 2
     assert json.loads(out)["reports"][0]["checks"]["short_restriction"] is False
     assert "verify [1, 0]: path-side projection differs: {" in err
+
+
+def _shift_first_component(real):
+    def patched(*args, **kwargs):
+        image = real(*args, **kwargs)
+        first = dataclasses.replace(image.components[0], n=image.components[0].n + 7)
+        return DC.DemazureImage(image.graph, [first] + image.components[1:])
+    return patched
+
+
+@pytest.mark.parametrize("check,name,patch,line", [
+    ("char_a_eq_b", "filtration_char",
+     lambda real: lambda *a: real(*a).added(Character.monomial((0, 0, 5))),
+     "char_a_eq_b: a - b = {(0, 0, 5): -1}"),
+    ("multiset_b_eq_c", "decompose_tensor_image", _shift_first_component,
+     "multiset_b_eq_c: b - c = [((1, 0), 0)], c - b = [((1, 0), 7)]"),
+    ("graded_multiplicities", "classically_highest", lambda real: lambda graph: [],
+     "graded_multiplicities: (decomposition, highest elements) = {(1, 0): ({0: 1}, None)}"),
+], ids=["char_a_eq_b", "multiset_b_eq_c", "graded_multiplicities"])
+def test_verify_failure_says_which_sides_differ(capsys, monkeypatch, check, name, patch, line):
+    monkeypatch.setattr(DC, name, patch(getattr(DC, name)))
+    code, out, err = run(capsys, ["verify", "--type", "C", "--rank", "2", "--weight", "1,0"])
+    assert code == 2
+    checks = json.loads(out)["reports"][0]["checks"]
+    assert [k for k, ok in checks.items() if not ok] == [check]
+    assert err.splitlines() == [f"verify [1, 0]: {line}"]
 
 
 def test_verify_weight_list(capsys):

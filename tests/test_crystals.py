@@ -1,6 +1,12 @@
 import pytest
 
-from conftest import EXPORT_WEIGHTS, LARGE_WEIGHTS, affine_orbit_bounded, sweep_weights
+from conftest import (
+    EXPORT_WEIGHTS,
+    LARGE_WEIGHTS,
+    affine_orbit_bounded,
+    finite_path_crystal,
+    sweep_weights,
+)
 from pathcrystals import crystals as C
 from pathcrystals import paths as P
 from pathcrystals.rootdata import root_system
@@ -34,12 +40,12 @@ def test_a1_projected_fundamental_has_two_nodes():
 )
 def test_finite_closure_counts_weyl_dimension(letter, rank, mu):
     rs = root_system(letter, rank)
-    assert len(C.finite_closure(rs, mu)) == rs.weyl_dimension(mu)
+    assert len(finite_path_crystal(rs, mu)) == rs.weyl_dimension(mu)
 
 
 def test_cap_exceeded_signals():
     with pytest.raises(C.GenerationError):
-        C.finite_closure(G2, (1, 1), cap=10)
+        finite_path_crystal(G2, (1, 1), cap=10)
 
 
 def test_unnormalized_level_zero_blows_past_cap():
@@ -257,7 +263,7 @@ def test_closure_matches_two_call_reference(monkeypatch):
         _assert_same_graph(got, want)
         if len(got) <= 100:
             seed = P.straight(rs.cl(lam))
-            _assert_same_graph(C.finite_closure(rs, coeffs),
+            _assert_same_graph(finite_path_crystal(rs, coeffs),
                                _two_call_closure(rs, [seed], tuple(rs.finite_nodes), C.NODE_CAP))
             _assert_same_graph(C.generate(rs, seed, rs.nodes),
                                _two_call_closure(rs, [seed], tuple(rs.nodes), C.NODE_CAP))

@@ -4,8 +4,9 @@ Each case runs ``cli.main`` in process and compares its stdout with
 ``tests/golden/<id>.out``.  The cases are the README commands, their
 ``--format tsv`` / ``--format dot`` variants where the command has them,
 ``decompose --nodes`` on C2 (2,0) and G2 (0,3), the three largest verify
-cases of the ROADMAP and the filtration of G2 (0,4), the one small weight
-where several dominant keys are maximal at once during the peel.  One more
+cases of the ROADMAP, the filtration of G2 (0,4), the one small weight
+where several dominant keys are maximal at once during the peel, and verify
+on F4 (1,0,0,1) and B3 (2,0,2), which need larger irreducible characters.  One more
 test runs every case again in a single ``python -O`` interpreter, where a
 bare ``assert`` would be stripped.
 """
@@ -45,6 +46,8 @@ CASES = [
     ("verify-F4", ["verify", "--type", "F", "--rank", "4", "--weight", "0,0,0,2"], 0),
     ("verify-B4-0002", ["verify", "--type", "B", "--rank", "4", "--weight", "0,0,0,2"], 0),
     ("verify-G2-03", ["verify", "--type", "G", "--rank", "2", "--weight", "0,3"], 0),
+    ("verify-F4-1001", ["verify", "--type", "F", "--rank", "4", "--weight", "1,0,0,1"], 0),
+    ("verify-B3-202", ["verify", "--type", "B", "--rank", "3", "--weight", "2,0,2"], 0),
     ("selftest-G2", ["selftest", "--type", "G", "--rank", "2", "--seed", "7"], 0),
 ]
 

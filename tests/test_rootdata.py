@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -92,8 +93,8 @@ def test_dominantize_rejects_level_zero():
 
 
 def test_antidominantize_zero_and_a1():
-    assert A1.antidominantize_finite(A1.zero()) == A1.zero()
-    assert A1.antidominantize_finite(A1.varpi(1)) == A1.scale(-1, A1.varpi(1))
+    assert A1.antidominantize_finite(A1.zero())[0] == A1.zero()
+    assert A1.antidominantize_finite(A1.varpi(1))[0] == A1.scale(-1, A1.varpi(1))
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 2), ("C", 2), ("B", 3), ("G", 2)])
@@ -102,10 +103,21 @@ def test_antidominantize_matches_orbit_minimum(letter, rank):
     rng = random.Random(5)
     for _ in range(5):
         lam = rs.weight_of(tuple(rng.randint(0, 2) for _ in range(rs.rank)))
-        low = rs.antidominantize_finite(lam)
+        low, _ = rs.antidominantize_finite(lam)
         orbit = finite_orbit(rs, lam)
         antidominant = {w for w in orbit if all(w[i] <= 0 for i in rs.finite_nodes)}
         assert antidominant == {low}
+
+
+def test_antidominantize_word_is_a_shortest_one(any_rs):
+    coroots = any_rs.positive_coroots()
+    for coeffs in itertools.product(range(-1, 3), repeat=any_rs.rank):
+        lam = any_rs.weight_of(coeffs)
+        low, word = any_rs.antidominantize_finite(lam)
+        assert any_rs.weyl_apply(word, lam) == low
+        assert all(low[i] <= 0 for i in any_rs.finite_nodes)
+        positive = [gv for gv in coroots if sum(d * c for d, c in zip(gv, coeffs)) > 0]
+        assert len(word) == len(positive)
 
 
 def test_restrict_include_short_roots(nsl_rs):
