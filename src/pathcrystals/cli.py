@@ -15,6 +15,7 @@ byte-identical for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -252,7 +253,13 @@ OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged, and the handler is looked up in
+    ``COMMANDS`` at call time, so the shared parser holds only the table.
+    """
     parser = argparse.ArgumentParser(
         prog="pathcrystals",
         description=__doc__,
@@ -260,14 +267,13 @@ def build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, formats, options) in COMMANDS.items():
+    for name, (_, formats, options) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--type", required=True, help="finite type letter (A,B,C,D,G,F)")
         p.add_argument("--rank", type=int, required=True)
         p.add_argument("--format", choices=formats.split(), default="json")
         for option in options.split():
             p.add_argument(option, **OPTIONS[option])
-        p.set_defaults(fn=fn)
     return parser
 
 
@@ -277,7 +283,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # a usage error is a configuration error
         raise SystemExit(EXIT_CONFIG if exc.code else exc.code) from None
     try:
-        return args.fn(args)
+        return COMMANDS[args.command][0](args)
     except (RootDataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

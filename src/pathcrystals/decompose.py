@@ -36,7 +36,6 @@ from .crystals import (
     CrystalGraph,
     classically_highest,
     degree,
-    full_weight,
     level_zero_cached,
 )
 from .demazure import block_char
@@ -92,14 +91,16 @@ class DemazureImage:
 
 def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
                            raise_cap: int = RAISE_CAP,
-                           Lambda: Weight | None = None) -> DemazureImage:
+                           Lambda: Weight | None = None,
+                           keys: list | None = None) -> DemazureImage:
     """Group the concatenations of the highest straight path of ``Lambda``
     with every element of the level-zero crystal ``graph`` by their
     component's top, reached by walking :func:`_raised`; an element that
     needs ``raise_cap`` or more raisings is an error.  Read each top's
     (dominance-maximal) restricted key.  ``Lambda`` defaults to the basic
     level-one weight; a positive multiple keeps every finite pairing zero,
-    which makes the top-key read meaningful."""
+    which makes the top-key read meaningful.  ``keys`` are the nodes'
+    restricted keys (:func:`node_keys`) when the caller has them."""
     if Lambda is None:
         Lambda = rs.fundamental(0)
     if any(Lambda[i] != 0 for i in rs.finite_nodes) or Lambda[0] < 1 or Lambda[-1] != 0:
@@ -118,11 +119,14 @@ def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
         if tops[pos][1] >= raise_cap:
             raise DecompositionError("raising exceeded the step cap")
         buckets.setdefault(top, []).append(pos)
+    if keys is None:
+        keys = node_keys(rs, graph)
     components = []
     for top, members in buckets.items():
-        keys = [hd_key(rs, full_weight(graph, pos)) for pos in members]
-        top_key = max(keys, key=lambda k: hd_height(rs, k))
-        if keys.count(top_key) != 1 or not all(dominance_leq(rs, k, top_key) for k in keys):
+        member_keys = [keys[pos] for pos in members]
+        top_key = max(member_keys, key=lambda k: hd_height(rs, k))
+        if member_keys.count(top_key) != 1 or not all(
+                dominance_leq(rs, k, top_key) for k in member_keys):
             raise DecompositionError(f"component top key {top_key} is not unique")
         mu = hd_finite_part(top_key)
         if any(c < 0 for c in mu):
@@ -174,11 +178,18 @@ def weyl_filtration_multiset(rs: RootSystem, lam: Weight, cap: int = NODE_CAP):
     return out
 
 
-def path_side_char(rs: RootSystem, graph: CrystalGraph) -> Character:
-    """Route (a): the full-lattice weight sum over the level-zero crystal."""
+def node_keys(rs: RootSystem, graph: CrystalGraph) -> list:
+    """The restricted key of every node's full weight, by position."""
+    return [hd_key(rs, path.endpoint()) for path in graph.nodes]
+
+
+def path_side_char(rs: RootSystem, graph: CrystalGraph,
+                   keys: list | None = None) -> Character:
+    """Route (a): the full-lattice weight sum over the level-zero crystal;
+    ``keys`` are the nodes' restricted keys when the caller has them."""
     ch = Character()
-    for path in graph.nodes:
-        ch.add_term(hd_key(rs, path.endpoint()), 1)
+    for key in node_keys(rs, graph) if keys is None else keys:
+        ch.add_term(key, 1)
     return ch
 
 
@@ -239,12 +250,13 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
                 raise_cap: int = RAISE_CAP) -> VerifyReport:
     """Run all three routes for one weight and cross-check every identity."""
     graph = level_zero_cached(rs, lam, cap)
-    a_char = path_side_char(rs, graph)
+    keys = node_keys(rs, graph)  # read by routes (a) and (c) and the graded check
+    a_char = path_side_char(rs, graph, keys)
 
     filtration = weyl_filtration_multiset(rs, lam, cap)
     b_char = filtration_char(rs, filtration, cap)
 
-    image = decompose_tensor_image(rs, graph, raise_cap)
+    image = decompose_tensor_image(rs, graph, raise_cap, keys=keys)
     b_multiset = sorted(
         (mu, m) for mu, m, mult in filtration for _ in range(mult)
     )
@@ -269,7 +281,7 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
         graded.setdefault(mu, {})[m] = mult
     direct = {}
     for pos in classically_highest(graph):
-        series = direct.setdefault(hd_finite_part(hd_key(rs, full_weight(graph, pos))), {})
+        series = direct.setdefault(hd_finite_part(keys[pos]), {})
         deg = -degree(graph, pos)
         series[deg] = series.get(deg, 0) + 1
     checks["graded_multiplicities"] = graded == direct

@@ -162,8 +162,14 @@ def straight(weight: Weight) -> Path:
 def shift(path: Path, weight: Weight) -> Path:
     """Add the straight-line path of ``weight`` pointwise."""
     # adding one weight to every direction keeps neighbours distinct
-    dirs = tuple(normalize_weight([a + b for a, b in zip(mu, weight)]) for mu in path.dirs)
-    return Path(dirs, path.ts)
+    out = Path.__new__(Path)
+    out.dirs = tuple(normalize_weight([a + b for a, b in zip(mu, weight)]) for mu in path.dirs)
+    out.ts = path.ts
+    # vertex k moves by weight * t_k, so a column with weight 0 is unchanged
+    times = (0,) + path.ts
+    out.hs = tuple(col if c == 0 else tuple([v + c * t for v, t in zip(col, times)])
+                   for col, c in zip(path.hs, weight))
+    return out
 
 
 def concat(p1: Path, p2: Path) -> Path:

@@ -248,11 +248,14 @@ class RootSystem:
     # -- reflections -----------------------------------------------------
 
     def reflect(self, i: int, x: Weight) -> Weight:
-        """s_i(x) = x - <x, alpha_i^vee> alpha_i, on either lattice."""
+        """s_i(x) = x - <x, alpha_i^vee> alpha_i, on either lattice; x normalized."""
         c = x[i]
         if c == 0:
             return x
         alpha = self.simple_root(i, cl=self.is_cl(x))
+        if type(c) is int:
+            # alpha is integral, so each entry keeps its denominator
+            return tuple([a - c * b for a, b in zip(x, alpha)])
         return tuple(normalize_entry(a - c * b) for a, b in zip(x, alpha))
 
     def weyl_apply(self, word, x: Weight) -> Weight:

@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathcrystals import cli
 from pathcrystals import decompose as DC
 from pathcrystals import demazure as D
 from pathcrystals.characters import Character
+from test_golden_cli import CASES, GOLDEN
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -242,3 +245,86 @@ def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert exc.value.code != 0
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+# -- the parser is built once per process --------------------------------------
+
+def test_parser_is_built_during_the_first_call_only(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()  # start as a fresh process would
+    counts = []
+    for argv in (["selftest", "--type", "A", "--rank", "1"],
+                 ["verify", "--type", "A", "--rank", "2", "--weight", "1,1"],
+                 ["crystal", "--type", "C", "--rank", "2", "--weight", "1,0", "--format", "tsv"]):
+        assert run(capsys, argv)[0] == 0
+        counts.append(len(built))
+    # the top-level parser and one subparser per command, all in the first call
+    assert counts == [1 + len(cli.COMMANDS)] * 3
+
+
+def test_repeated_calls_match_the_goldens(capsys):
+    runs = CASES * 2
+    random.Random(9).shuffle(runs)
+    usage, helps = [], []
+    for k, (name, argv, code) in enumerate(runs):
+        assert cli.main(argv) == code, name
+        assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes(), name
+        # a usage error or a --help between two cases leaves the parser as it was
+        bad, seen, expected = ((["verify", "--type", "C"], usage, 1) if k % 2
+                               else (["--help"], helps, 0))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == expected
+        seen.append(capsys.readouterr())
+    assert "required" in usage[0].err and "verify" in helps[0].out
+    assert usage == [usage[0]] * len(usage)
+    assert helps == [helps[0]] * len(helps)
+
+
+_IMPORT_COUNTS_PARSERS = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import pathcrystals.cli
+at_import = len(built)
+pathcrystals.cli.build_parser()
+print(at_import, len(built))
+"""
+
+
+def test_import_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_COUNTS_PARSERS],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(1 + len(cli.COMMANDS))]
+
+
+def test_a_replaced_handler_takes_effect_after_the_first_call(capsys, monkeypatch):
+    argv = ["selftest", "--type", "A", "--rank", "1"]
+    assert run(capsys, argv)[0] == 0
+    seen = []
+
+    def handler(args):
+        seen.append(args)
+        return 5
+
+    monkeypatch.setitem(cli.COMMANDS, "selftest", (handler,) + cli.COMMANDS["selftest"][1:])
+    assert run(capsys, argv)[0] == 5
+    # the parsed options carry no handler: main reads it from COMMANDS
+    assert len(seen) == 1 and not any(callable(v) for v in vars(seen[0]).values())

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import (
@@ -9,7 +11,7 @@ from conftest import (
 )
 from pathcrystals import crystals as C
 from pathcrystals import paths as P
-from pathcrystals.rootdata import root_system
+from pathcrystals.rootdata import normalize_weight, root_system
 
 A1 = root_system("A", 1)
 A2 = root_system("A", 2)
@@ -314,3 +316,20 @@ def test_closure_finds_each_edge_once(monkeypatch):
             found.append((pos, i) if name == "f_op" else (graph.e_edges[(pos, i)][0], i))
         assert len(found) == len(set(found))
         assert set(found) == set(graph.f_edges)
+
+
+def test_shift_matches_a_path_built_from_scratch():
+    # the anchoring normalizer shifts by null-root multiples; the other
+    # weights move every column, the halved root by fractions
+    for letter, rank, coeffs in sweep_weights() + LARGE_WEIGHTS:
+        rs = root_system(letter, rank)
+        lam = rs.weight_of(coeffs)
+        weights = [rs.scale(-2, rs.delta()), rs.delta(), rs.simple_root(0), lam,
+                   tuple(Fraction(v, 2) for v in rs.simple_root(rank))]
+        for path in C.level_zero_cached(rs, lam).nodes:
+            for weight in weights:
+                got = P.shift(path, weight)
+                dirs = tuple(normalize_weight([a + b for a, b in zip(mu, weight)])
+                             for mu in path.dirs)
+                want = P.Path(dirs, path.ts)
+                assert (got.dirs, got.ts, got.hs) == (want.dirs, want.ts, want.hs)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import affine_orbit_bounded, finite_orbit
-from pathcrystals.rootdata import RootDataError, normalize_weight, root_system
+from pathcrystals import paths as P
+from pathcrystals.rootdata import RootDataError, normalize_entry, normalize_weight, root_system
 
 A1 = root_system("A", 1)
 G2 = root_system("G", 2)
@@ -249,3 +250,30 @@ def test_alpha_expand_matches_elimination(any_rs):
         want = normalize_weight(solve_exact(any_rs.finite_cartan, x[1:]))
         assert got == want
         assert list(map(type, got)) == list(map(type, want))
+
+
+def _reflect_normalizing(rs, i, x):
+    """s_i(x) with every entry normalized: the formula the int fast path skips."""
+    c = x[i]
+    alpha = rs.simple_root(i, cl=rs.is_cl(x))
+    return tuple(normalize_entry(a - c * b) for a, b in zip(x, alpha))
+
+
+def test_reflect_matches_the_normalizing_formula(any_rs):
+    # make_path takes fractional directions, so a reflected direction may mix
+    # int and Fraction entries, with an int or a Fraction pairing
+    entries = [-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+    rng = random.Random(any_rs.rank)
+    dirs = []
+    for length in (any_rs.rank + 1, any_rs.rank + 2):
+        for _ in range(100):
+            path = P.make_path([[rng.choice(entries) for _ in range(length)] for _ in range(3)],
+                               [Fraction(1, 3), Fraction(1, 2), 1])
+            dirs.extend(path.dirs)
+    assert any(isinstance(v, Fraction) for mu in dirs for v in mu)
+    for mu in dirs:
+        for i in any_rs.nodes:
+            got = any_rs.reflect(i, mu)
+            want = _reflect_normalizing(any_rs, i, mu)
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
