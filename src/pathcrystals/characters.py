@@ -54,14 +54,6 @@ class Character(dict):
             return Character()
         return Character({k: c * v for k, v in self.items()})
 
-    def convolved(self, other) -> "Character":
-        out = Character()
-        for k1, v1 in self.items():
-            for k2, v2 in other.items():
-                k = tuple(normalize_entry(a + b) for a, b in zip(k1, k2, strict=True))
-                out.add_term(k, v1 * v2)
-        return out
-
     def shifted(self, key) -> "Character":
         return Character(
             {tuple(normalize_entry(a + b) for a, b in zip(k, key, strict=True)): v
@@ -184,7 +176,11 @@ def demazure_operator(rs: RootSystem, word, ch: Character) -> Character:
 
 
 @lru_cache(maxsize=None)
-def _finite_char_cached(rs: RootSystem, mu_coeffs) -> Character:
+def finite_char(rs: RootSystem, mu_coeffs: tuple) -> Character:
+    """Character of the irreducible finite-type module, on finite keys; a
+    shared read-only instance."""
+    if any(c < 0 for c in mu_coeffs):
+        raise CharacterError("need a dominant weight")
     # the Demazure module of w_0, along a shortest word from mu to w_0(mu),
     # is the whole irreducible module
     mu = rs.weight_of(mu_coeffs)
@@ -193,13 +189,6 @@ def _finite_char_cached(rs: RootSystem, mu_coeffs) -> Character:
     if ch.mass() != rs.weyl_dimension(mu_coeffs):
         raise AssertionError(f"Demazure character of {mu_coeffs} misses the Weyl dimension")
     return ch
-
-
-def finite_char(rs: RootSystem, mu_coeffs) -> Character:
-    """Character of the irreducible finite-type module, on finite keys."""
-    if any(c < 0 for c in mu_coeffs):
-        raise CharacterError("need a dominant weight")
-    return Character(_finite_char_cached(rs, tuple(mu_coeffs)))
 
 
 # -- peeling into building blocks -------------------------------------------
@@ -261,7 +250,7 @@ def decompose_hd(rs: RootSystem, ch: Character) -> dict:
         slices.setdefault(hd_delta(key), Character())[key] = v
 
     def placed(mu, m):
-        return {k + (m,): c for k, c in _finite_char_cached(rs, mu).items()}
+        return {k + (m,): c for k, c in finite_char(rs, mu).items()}
 
     out = {}
     for _, slice_ch in sorted(slices.items()):

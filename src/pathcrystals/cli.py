@@ -48,6 +48,17 @@ def _parse_weight(rs, text):
     return coeffs
 
 
+def _cap(text):
+    """A cap is an integer of at least 1; anything else is a usage error."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"a cap must be an integer of at least 1, got {text!r}")
+    return cap
+
+
 def _root_system(args):
     letter = args.type.upper()
     if letter not in SUPPORTED or args.rank not in SUPPORTED[letter]:
@@ -246,8 +257,8 @@ OPTIONS = {
     "--level": {"type": int, "default": 1},
     "--mshift": {"type": int, "default": 0},
     "--seed": {"type": int, "default": 0},
-    "--node-cap": {"type": int, "default": C.NODE_CAP},
-    "--raise-cap": {"type": int, "default": DC.RAISE_CAP},
+    "--node-cap": {"type": _cap, "default": C.NODE_CAP},
+    "--raise-cap": {"type": _cap, "default": DC.RAISE_CAP},
     "--restrict": {"action": "store_true", "help": "restrict characters"},
     "--nodes": {"action": "store_true", "help": "include node inventories"},
 }
@@ -284,7 +295,7 @@ def main(argv=None) -> int:
         raise SystemExit(EXIT_CONFIG if exc.code else exc.code) from None
     try:
         return COMMANDS[args.command][0](args)
-    except (RootDataError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (C.GenerationError, DC.DecompositionError, AssertionError) as exc:

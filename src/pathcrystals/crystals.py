@@ -1,7 +1,7 @@
 """Crystal generation by operator closure, and the level-zero bookkeeping.
 
-A crystal graph is the closure of a seed path under the chosen root
-operators, deduplicated by canonical form.  For level-zero dominant weights
+A crystal graph is the closure of a seed path under the root operators at
+every node, deduplicated by canonical form.  For level-zero dominant weights
 the closure is run on anchored representatives: every produced path is
 shifted by the unique null-root multiple that puts its initial direction
 back into the finite Weyl orbit of the seed weight.  The shift removed at
@@ -37,7 +37,9 @@ class CrystalGraph:
         return len(self.nodes)
 
 
-def _closure(rs, seed_paths, ops, cap, normalizer=None):
+def _closure(rs, seed, cap, normalizer=None):
+    """Breadth-first closure of one seed under both root operators at every
+    node; ``normalizer`` maps each result to its representative and shift."""
     nodes = []
     index = {}
     f_edges = {}
@@ -56,12 +58,12 @@ def _closure(rs, seed_paths, ops, cap, normalizer=None):
             index[path] = pos
         return pos, shift
 
-    for seed in seed_paths:
-        if not P.is_integral(rs, seed):
-            raise P.PathError("seed path is not integral")
-        intern(seed)
+    if not P.is_integral(rs, seed):
+        raise P.PathError("seed path is not integral")
+    intern(seed)
     # e_i f_i = id: an edge found from one end is stored at both, with the
     # shift negated, and an operator runs only while its edge is unknown
+    ops = tuple(rs.nodes)
     head = 0
     while head < len(nodes):
         pos = head
@@ -75,11 +77,6 @@ def _closure(rs, seed_paths, ops, cap, normalizer=None):
                 tgt, shift = e_edges[(pos, i)] = intern(up)
                 f_edges[(tgt, i)] = (pos, -shift)
     return CrystalGraph(rs, nodes, index, f_edges, e_edges)
-
-
-def generate(rs: RootSystem, seed: P.Path, ops, cap: int = NODE_CAP) -> CrystalGraph:
-    """Breadth-first closure of a seed under both root operators."""
-    return _closure(rs, [seed], tuple(ops), cap)
 
 
 def d_lambda(rs: RootSystem, lam: Weight) -> int:
@@ -106,11 +103,11 @@ def generate_level_zero(rs: RootSystem, lam: Weight, cap: int = NODE_CAP) -> Cry
         raise ValueError("expected a dominant classical level-zero weight")
     seed = P.straight(lam)
     if all(c == 0 for c in lam):
-        return _closure(rs, [seed], tuple(rs.nodes), cap)
+        return _closure(rs, seed, cap)
     d = d_lambda(rs, lam)
 
     def normalizer(path):
-        offset = path.initial_direction()[-1]
+        offset = path.dirs[0][-1]
         if offset == 0:
             return path, 0
         if offset % d != 0:
@@ -120,7 +117,7 @@ def generate_level_zero(rs: RootSystem, lam: Weight, cap: int = NODE_CAP) -> Cry
         minus = tuple([0] * (rs.rank + 1)) + (-offset,)
         return P.shift(path, minus), offset // d
 
-    graph = _closure(rs, [seed], tuple(rs.nodes), cap, normalizer=normalizer)
+    graph = _closure(rs, seed, cap, normalizer=normalizer)
     edges = list(graph.f_edges.values()) + list(graph.e_edges.values())
     nonzero = {abs(s) for _, s in edges if s != 0}
     if not nonzero or min(nonzero) != 1:
@@ -146,12 +143,7 @@ def level_zero_cached(rs: RootSystem, lam: Weight, cap: int = NODE_CAP) -> Cryst
 
 def degree(graph: CrystalGraph, pos: int) -> int:
     """Negated null-root coefficient of the endpoint of an anchored node."""
-    deg = -graph.nodes[pos].endpoint()[-1]
-    return deg
-
-
-def full_weight(graph: CrystalGraph, pos: int) -> Weight:
-    return graph.nodes[pos].endpoint()
+    return -graph.nodes[pos].endpoint()[-1]
 
 
 def classically_highest(graph: CrystalGraph) -> list:
@@ -159,23 +151,6 @@ def classically_highest(graph: CrystalGraph) -> list:
     finite = graph.rs.finite_nodes
     return [pos for pos in range(len(graph))
             if not any((pos, i) in graph.e_edges for i in finite)]
-
-
-def compatible_lift_check(graph: CrystalGraph) -> list:
-    """Violations of the anchored-lift compatibility rules.
-
-    Finite-node edges must never remove a shift; the affine lowering out of
-    a node that admits an affine raising must not either.
-    """
-    rs = graph.rs
-    bad = []
-    for (pos, i), (tgt, shift) in list(graph.e_edges.items()) + list(graph.f_edges.items()):
-        if i != 0 and shift != 0:
-            bad.append(("finite", pos, i, shift))
-    for (pos, i), (tgt, shift) in graph.f_edges.items():
-        if i == 0 and (pos, 0) in graph.e_edges and shift != 0:
-            bad.append(("affine", pos, 0, shift))
-    return bad
 
 
 # -- exports ---------------------------------------------------------------

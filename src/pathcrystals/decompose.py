@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import paths as P
 from .characters import (
     Character,
     char_sum,
@@ -53,21 +52,18 @@ class DecompositionError(RuntimeError):
 def _raised(rs: RootSystem, Lambda: Weight, graph: CrystalGraph, pos: int):
     """Target of the first e_i (in ``rs.nodes`` order) raising the straight
     path of Lambda followed by node ``pos``, or None.  The straight part's
-    profile is nonnegative, so e_i raises when ``min_h(node, i) < -Lambda[i]``,
-    along the recorded e_i-edge; e-stability forbids that edge a shift."""
+    profile is nonnegative, so e_i raises when the node's profile H_i dips
+    below ``-Lambda[i]``, along the recorded e_i-edge; e-stability forbids
+    that edge a shift."""
+    path = graph.nodes[pos]
     for i in rs.nodes:
-        if P.min_h(rs, graph.nodes[pos], i) < -Lambda[i]:
+        # the vertex column holds H_i times the path's scale
+        if min(path.hs[i]) < -Lambda[i] * path.ts[-1]:
             tgt, shift = graph.e_edges[(pos, i)]
             if shift:
                 raise DecompositionError(f"raising {pos} by e_{i} shifts it by {shift}")
             return tgt
     return None
-
-
-def highest_candidates(rs: RootSystem, Lambda: Weight, graph: CrystalGraph) -> list:
-    """Positions that no e_i raises after the straight path of Lambda; each
-    anchored representative stands for its whole null-root shift family."""
-    return [pos for pos in range(len(graph)) if _raised(rs, Lambda, graph, pos) is None]
 
 
 # -- route (c): components of the concatenated crystal ------------------------
@@ -77,7 +73,7 @@ class Component:
     mu_coeffs: tuple
     n: int
     members: list  # positions into the crystal graph
-    top_path: P.Path  # highest path of the component
+    top: int  # position of the component's top
 
 
 @dataclass
@@ -131,8 +127,7 @@ def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
         mu = hd_finite_part(top_key)
         if any(c < 0 for c in mu):
             raise DecompositionError(f"component top {top_key} is not dominant")
-        components.append(Component(tuple(mu), int(hd_delta(top_key)), members,
-                                    P.concat(P.straight(Lambda), graph.nodes[top])))
+        components.append(Component(tuple(mu), int(hd_delta(top_key)), members, top))
     return DemazureImage(graph, components)
 
 

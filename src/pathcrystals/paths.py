@@ -25,8 +25,6 @@ from math import gcd, lcm
 
 from .rootdata import RootSystem, Weight, normalize_weight
 
-ZERO = Fraction(0)
-
 
 class PathError(ValueError):
     pass
@@ -38,8 +36,8 @@ class Path:
     Segment k runs from time ``ts[k-1] / scale`` (0 for the first) to
     ``ts[k] / scale`` in direction ``dirs[k]``.  Directions are weight
     tuples of the ambient lattice (with or without the null-root entry).
-    Build paths with :func:`make_path` or the operators; the constructor
-    takes an expression that is already canonical.
+    Build paths with :func:`straight`, :func:`concat` or the operators; the
+    constructor takes an expression that is already canonical.
     """
 
     __slots__ = ("dirs", "ts", "hs")
@@ -74,26 +72,9 @@ class Path:
         scale = self.ts[-1]
         return tuple(Fraction(t, scale) for t in self.ts)
 
-    def value(self, t) -> tuple:
-        """pi(t), exactly."""
-        t = Fraction(t)
-        acc = [ZERO] * len(self.dirs[0])
-        prev = ZERO
-        for mu, s in zip(self.dirs, self.sigmas):
-            seg = min(t, s) - prev
-            if seg <= 0:
-                break
-            for p, c in enumerate(mu):
-                acc[p] += seg * c
-            prev = s
-        return tuple(acc)
-
     def endpoint(self) -> Weight:
         scale = self.ts[-1]
         return tuple(_over(col[-1], scale) for col in self.hs)
-
-    def initial_direction(self) -> Weight:
-        return self.dirs[0]
 
 
 def _over(v, scale):
@@ -133,27 +114,6 @@ def _canonical(dirs, ts) -> Path:
     return Path(tuple(out_dirs), tuple(out_ts))
 
 
-def make_path(dirs, sigmas) -> Path:
-    """Canonicalize an expression: drop empty segments, merge equal neighbours."""
-    out_dirs = []
-    fracs = []
-    prev = ZERO
-    for mu, s in zip(dirs, sigmas):
-        s = Fraction(s)
-        if s < prev:
-            raise PathError("breakpoints must be nondecreasing")
-        out_dirs.append(normalize_weight(mu))
-        fracs.append(s)
-        prev = s
-    if prev == 0:
-        raise PathError("empty path expression")
-    if prev != 1:
-        raise PathError("final breakpoint must be 1")
-    scale = lcm(*(s.denominator for s in fracs))
-    ts = [s.numerator * (scale // s.denominator) for s in fracs]
-    return _canonical(out_dirs, ts)
-
-
 def straight(weight: Weight) -> Path:
     """The straight-line path t |-> t * weight (also used for weight 0)."""
     return Path((normalize_weight(weight),), (1,))
@@ -189,28 +149,7 @@ def concat(p1: Path, p2: Path) -> Path:
     return _canonical(dirs, ts)
 
 
-def cl_path(rs: RootSystem, path: Path) -> Path:
-    """Project every direction along cl (drop the null-root entry)."""
-    if rs.is_cl(path.dirs[0]):
-        return path
-    return _canonical([mu[:-1] for mu in path.dirs], path.ts)
-
-
-# -- pairing profiles ----------------------------------------------------
-
-def h_profile(rs: RootSystem, path: Path, i: int):
-    """Breakpoint values of H_i: pairs (t, <pi(t), alpha_i^vee>) at 0 and
-    every sigma.  H_i is linear in between, so these determine it."""
-    scale = path.ts[-1]
-    return [
-        (Fraction(t, scale), Fraction(v, scale))
-        for t, v in zip((0,) + path.ts, path.hs[i])
-    ]
-
-
-def min_h(rs: RootSystem, path: Path, i: int):
-    return _over(min(path.hs[i]), path.ts[-1])
-
+# -- vertex columns and the root operators ---------------------------------
 
 def _axis_integral(col, scale) -> bool:
     """Every local minimum of the vertex column is a multiple of ``scale``.
@@ -330,26 +269,6 @@ def eps_phi(rs: RootSystem, i: int, path: Path):
     return int(-m // scale), int(phi // scale)
 
 
-def s_op(rs: RootSystem, i: int, path: Path) -> Path:
-    """Crystal reflection: the full i-string jump across the weight."""
-    ell = path.endpoint()[i]
-    out = path
-    if ell >= 0:
-        for _ in range(ell):
-            out = f_op(rs, i, out)
-    else:
-        for _ in range(-ell):
-            out = e_op(rs, i, out)
-    return out
-
-
-def weyl_act(rs: RootSystem, word, path: Path) -> Path:
-    """Apply the crystal reflections along the word, rightmost letter first."""
-    for i in reversed(word):
-        path = s_op(rs, i, path)
-    return path
-
-
 # -- serialization -------------------------------------------------------
 
 def path_to_json(path: Path) -> list:
@@ -357,12 +276,3 @@ def path_to_json(path: Path) -> list:
         {"direction": list(mu), "sigma": f"{s.numerator}/{s.denominator}"}
         for mu, s in zip(path.dirs, path.sigmas)
     ]
-
-
-def path_from_json(records) -> Path:
-    dirs = [normalize_weight(rec["direction"]) for rec in records]
-    sigmas = [Fraction(rec["sigma"]) for rec in records]
-    path = make_path(dirs, sigmas)
-    if list(path.dirs) != dirs or list(path.sigmas) != sigmas:
-        raise PathError("input expression is not in canonical form")
-    return path

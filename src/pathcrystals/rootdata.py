@@ -220,9 +220,6 @@ class RootSystem:
         w[-1] += delta
         return tuple(w)
 
-    def pairing(self, x: Weight, i: int):
-        return x[i]
-
     def level(self, x: Weight):
         return sum(self.comarks[i] * x[i] for i in self.nodes)
 
@@ -233,17 +230,11 @@ class RootSystem:
             return True
         raise RootDataError(f"weight of length {len(x)} does not fit rank {self.rank}")
 
-    def cl(self, x: Weight) -> Weight:
-        return x[: self.rank + 1] if not self.is_cl(x) else x
-
     def add(self, x: Weight, y: Weight) -> Weight:
         return tuple(normalize_entry(a + b) for a, b in zip(x, y, strict=True))
 
     def sub(self, x: Weight, y: Weight) -> Weight:
         return tuple(normalize_entry(a - b) for a, b in zip(x, y, strict=True))
-
-    def scale(self, c, x: Weight) -> Weight:
-        return tuple(normalize_entry(c * a) for a in x)
 
     # -- reflections -----------------------------------------------------
 
@@ -263,9 +254,6 @@ class RootSystem:
         for i in reversed(word):
             x = self.reflect(i, x)
         return x
-
-    def is_dominant(self, x: Weight) -> bool:
-        return all(x[i] >= 0 for i in self.nodes)
 
     def dominantize(self, x: Weight):
         """Dominant representative and a word with x = s_{j_1}...s_{j_k} Lambda.
@@ -403,10 +391,6 @@ class RootSystem:
             raise RootDataError("tau word does not transport alpha_j correctly")
 
 
-    def to_json(self) -> dict:
-        return {"type": self.letter, "rank": self.rank}
-
-
 @lru_cache(maxsize=None)
 def _positive_roots(cartan) -> tuple:
     """Positive roots of a finite Cartan matrix, as coefficient tuples on the
@@ -433,7 +417,3 @@ def _positive_roots(cartan) -> tuple:
 @lru_cache(maxsize=None)
 def root_system(letter: str, rank: int) -> RootSystem:
     return RootSystem(letter, rank)
-
-
-def root_system_from_json(payload: dict) -> RootSystem:
-    return root_system(payload["type"], int(payload["rank"]))

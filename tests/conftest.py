@@ -61,10 +61,49 @@ def sweep_weights():
     ]
 
 
+def two_call_closure(rs, seed, ops, cap, normalizer=None):
+    """The closure as it was: f_op and e_op from every node, over the given
+    operators; the reference for ``crystals._closure``."""
+    nodes = []
+    index = {}
+    f_edges = {}
+    e_edges = {}
+
+    def intern(path):
+        shift = 0
+        if normalizer is not None:
+            path, shift = normalizer(path)
+        pos = index.get(path)
+        if pos is None:
+            pos = len(nodes)
+            if pos >= cap:
+                raise C.GenerationError(f"node cap {cap} exceeded")
+            nodes.append(path)
+            index[path] = pos
+        return pos, shift
+
+    if not P.is_integral(rs, seed):
+        raise P.PathError("seed path is not integral")
+    intern(seed)
+    head = 0
+    while head < len(nodes):
+        pos = head
+        head += 1
+        path = nodes[pos]
+        for i in ops:
+            down = P.f_op(rs, i, path)
+            if down is not None:
+                f_edges[(pos, i)] = intern(down)
+            up = P.e_op(rs, i, path)
+            if up is not None:
+                e_edges[(pos, i)] = intern(up)
+    return C.CrystalGraph(rs, nodes, index, f_edges, e_edges)
+
+
 def finite_path_crystal(rs, mu_coeffs, cap=C.NODE_CAP):
     """Finite-type path crystal: the closure of the classical straight path
     under the finite-node operators only."""
-    return C.generate(rs, P.straight(rs.cl(rs.weight_of(mu_coeffs))), rs.finite_nodes, cap)
+    return two_call_closure(rs, P.straight(rs.weight_of(mu_coeffs)[:-1]), rs.finite_nodes, cap)
 
 
 def finite_path_char(rs, mu_coeffs):

@@ -1,5 +1,7 @@
 # Reference for the differential tests: the Fraction-breakpoint path kernel
-# that pathcrystals.paths replaced, kept verbatim apart from its imports.
+# that pathcrystals.paths replaced, kept verbatim apart from its imports;
+# the functions no test compares against (straight, the crystal reflections,
+# JSON) are left out.
 """Piecewise-linear paths and the root operators acting on them.
 
 A path is stored by its expression: a sequence of direction weights and the
@@ -63,9 +65,6 @@ class Path:
     def endpoint(self) -> Weight:
         return normalize_weight(self.value(ONE))
 
-    def initial_direction(self) -> Weight:
-        return self.dirs[0]
-
 
 def make_path(dirs, sigmas) -> Path:
     """Canonicalize an expression: drop empty segments, merge equal neighbours."""
@@ -88,11 +87,6 @@ def make_path(dirs, sigmas) -> Path:
     if not out_dirs:
         raise PathError("empty path expression")
     return Path(tuple(out_dirs), tuple(out_sigmas))
-
-
-def straight(weight: Weight) -> Path:
-    """The straight-line path t |-> t * weight (also used for weight 0)."""
-    return Path((normalize_weight(weight),), (ONE,))
 
 
 def shift(path: Path, weight: Weight) -> Path:
@@ -271,40 +265,3 @@ def eps_phi(rs: RootSystem, i: int, path: Path):
         raise PathError(f"endpoint pairing at node {i} is not integral")
     return int(-m), int(phi)
 
-
-def s_op(rs: RootSystem, i: int, path: Path) -> Path:
-    """Crystal reflection: the full i-string jump across the weight."""
-    ell = path.endpoint()[i]
-    out = path
-    if ell >= 0:
-        for _ in range(ell):
-            out = f_op(rs, i, out)
-    else:
-        for _ in range(-ell):
-            out = e_op(rs, i, out)
-    return out
-
-
-def weyl_act(rs: RootSystem, word, path: Path) -> Path:
-    """Apply the crystal reflections along the word, rightmost letter first."""
-    for i in reversed(word):
-        path = s_op(rs, i, path)
-    return path
-
-
-# -- serialization -------------------------------------------------------
-
-def path_to_json(path: Path) -> list:
-    return [
-        {"direction": list(mu), "sigma": f"{s.numerator}/{s.denominator}"}
-        for mu, s in zip(path.dirs, path.sigmas)
-    ]
-
-
-def path_from_json(records) -> Path:
-    dirs = [tuple(rec["direction"]) for rec in records]
-    sigmas = [Fraction(rec["sigma"]) for rec in records]
-    path = Path(tuple(normalize_weight(d) for d in dirs), tuple(sigmas))
-    if make_path(dirs, sigmas) != path:
-        raise PathError("input expression is not in canonical form")
-    return path

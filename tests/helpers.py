@@ -1,0 +1,138 @@
+"""Tools the tests share that the program itself never calls: paths built
+from fractional breakpoints and read pointwise, crystal reflections, and a
+few weight, character and crystal readings."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+from pathcrystals import decompose as DC
+from pathcrystals import paths as P
+from pathcrystals.characters import Character
+from pathcrystals.rootdata import normalize_entry, normalize_weight
+
+# -- weights and characters ------------------------------------------------
+
+def scale(c, x):
+    """The weight c * x."""
+    return tuple(normalize_entry(c * a) for a in x)
+
+
+def convolved(a: Character, b: Character) -> Character:
+    """The product of two characters."""
+    out = Character()
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = tuple(normalize_entry(x + y) for x, y in zip(k1, k2, strict=True))
+            out.add_term(k, v1 * v2)
+    return out
+
+
+# -- paths -----------------------------------------------------------------
+
+def make_path(dirs, sigmas) -> P.Path:
+    """Canonicalize an expression given by fractional breakpoints: drop empty
+    segments, merge equal neighbours."""
+    out_dirs = []
+    fracs = []
+    prev = Fraction(0)
+    for mu, s in zip(dirs, sigmas):
+        s = Fraction(s)
+        if s < prev:
+            raise P.PathError("breakpoints must be nondecreasing")
+        out_dirs.append(normalize_weight(mu))
+        fracs.append(s)
+        prev = s
+    if prev == 0:
+        raise P.PathError("empty path expression")
+    if prev != 1:
+        raise P.PathError("final breakpoint must be 1")
+    scale = lcm(*(s.denominator for s in fracs))
+    ts = [s.numerator * (scale // s.denominator) for s in fracs]
+    return P._canonical(out_dirs, ts)
+
+
+def value(path: P.Path, t) -> tuple:
+    """pi(t), exactly."""
+    t = Fraction(t)
+    acc = [Fraction(0)] * len(path.dirs[0])
+    prev = Fraction(0)
+    for mu, s in zip(path.dirs, path.sigmas):
+        seg = min(t, s) - prev
+        if seg <= 0:
+            break
+        for p, c in enumerate(mu):
+            acc[p] += seg * c
+        prev = s
+    return tuple(acc)
+
+
+def cl_path(rs, path: P.Path) -> P.Path:
+    """Project every direction along cl (drop the null-root entry)."""
+    if rs.is_cl(path.dirs[0]):
+        return path
+    return P._canonical([mu[:-1] for mu in path.dirs], path.ts)
+
+
+def h_profile(rs, path: P.Path, i: int):
+    """Breakpoint values of H_i: pairs (t, <pi(t), alpha_i^vee>) at 0 and
+    every sigma.  H_i is linear in between, so these determine it."""
+    scale = path.ts[-1]
+    return [
+        (Fraction(t, scale), Fraction(v, scale))
+        for t, v in zip((0,) + path.ts, path.hs[i])
+    ]
+
+
+def min_h(rs, path: P.Path, i: int):
+    """The minimum of H_i."""
+    return P._over(min(path.hs[i]), path.ts[-1])
+
+
+def s_op(rs, i: int, path: P.Path) -> P.Path:
+    """Crystal reflection: the full i-string jump across the weight."""
+    ell = path.endpoint()[i]
+    out = path
+    if ell >= 0:
+        for _ in range(ell):
+            out = P.f_op(rs, i, out)
+    else:
+        for _ in range(-ell):
+            out = P.e_op(rs, i, out)
+    return out
+
+
+def weyl_act(rs, word, path: P.Path) -> P.Path:
+    """Apply the crystal reflections along the word, rightmost letter first."""
+    for i in reversed(word):
+        path = s_op(rs, i, path)
+    return path
+
+
+# -- crystals --------------------------------------------------------------
+
+def full_weight(graph, pos: int):
+    return graph.nodes[pos].endpoint()
+
+
+def compatible_lift_check(graph) -> list:
+    """Violations of the anchored-lift compatibility rules.
+
+    Finite-node edges must never remove a shift; the affine lowering out of
+    a node that admits an affine raising must not either.
+    """
+    bad = []
+    for (pos, i), (tgt, shift) in list(graph.e_edges.items()) + list(graph.f_edges.items()):
+        if i != 0 and shift != 0:
+            bad.append(("finite", pos, i, shift))
+    for (pos, i), (tgt, shift) in graph.f_edges.items():
+        if i == 0 and (pos, 0) in graph.e_edges and shift != 0:
+            bad.append(("affine", pos, 0, shift))
+    return bad
+
+
+def highest_candidates(rs, Lambda, graph) -> list:
+    """Positions that no e_i raises after the straight path of Lambda; each
+    anchored representative stands for its whole null-root shift family."""
+    return [pos for pos in range(len(graph)) if DC._raised(rs, Lambda, graph, pos) is None]

@@ -12,7 +12,7 @@ from pathcrystals import decompose as DC
 from pathcrystals import paths as P
 from pathcrystals.characters import decompose_hd, hd_finite_part, hd_key
 from pathcrystals.cli import check_operator_properties, random_integral_path
-from pathcrystals.crystals import classically_highest, degree, full_weight, level_zero_cached
+from pathcrystals.crystals import classically_highest, degree, level_zero_cached
 from pathcrystals.demazure import (
     demazure_character,
     demazure_character_oracle,
@@ -22,6 +22,8 @@ from pathcrystals.demazure import (
 )
 from pathcrystals.rootdata import root_system
 
+import helpers as H
+from helpers import full_weight
 from test_demazure import braid_pairs, spec_pool
 
 
@@ -166,7 +168,7 @@ def _check_operator_properties(rs, path, check_counts=True):
 
 
 def _check_cl_compatibility(rs, path):
-    down = P.cl_path(rs, path)
+    down = H.cl_path(rs, path)
     for i in rs.nodes:
         for op in (P.e_op, P.f_op):
             full = op(rs, i, path)
@@ -174,7 +176,7 @@ def _check_cl_compatibility(rs, path):
             if full is None:
                 assert proj is None
             else:
-                assert proj == P.cl_path(rs, full)
+                assert proj == H.cl_path(rs, full)
 
 
 def test_criterion_08_operator_property_suite():

@@ -1,0 +1,35 @@
+"""Every public function and method in ``src/`` has a caller in ``src/``.
+
+The scan collects every ``Name`` and ``Attribute`` reference in
+``src/pathcrystals/*.py``; a public module-level function or method fails
+when no reference to its name lies outside its own body.  It matches names,
+not bindings, so a name collision (a method ``value`` and any variable
+``value``) can hide an unused name.  Test-only tools live in
+``tests/helpers.py``.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pathcrystals"
+
+# acceptance criterion 09 calls these RootSystem methods directly
+ALLOWED = {"tau_data", "positive_roots_alpha"}
+
+
+def _names(tree):
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_function_has_a_caller_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    refs = sum(map(_names, trees.values()), Counter())
+    defs = [(module, sub) for module, tree in trees.items() for node in tree.body
+            for sub in (node.body if isinstance(node, ast.ClassDef) else [node])
+            if isinstance(sub, ast.FunctionDef)]
+    unused = [f"{module}: {fn.name}" for module, fn in defs
+              if not fn.name.startswith("_") and fn.name not in ALLOWED
+              and refs[fn.name] == _names(fn)[fn.name]]
+    assert unused == []

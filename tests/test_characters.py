@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers as H
 from conftest import ALL_TYPES, LARGE_WEIGHTS, finite_path_char, sweep_weights
 from pathcrystals import characters as CH
 from pathcrystals import crystals as C
@@ -30,7 +31,7 @@ def test_character_arithmetic():
     s = a.added(b)
     assert s[(1, 0)] == 1 and s[(0, 1)] == 2
     assert s.added(s, -1) == Character()
-    prod = a.convolved(b)
+    prod = H.convolved(a, b)
     assert prod == Character.monomial((1, 1), 2)
     assert a.shifted((3, 3)) == Character.monomial((4, 3))
 
@@ -105,6 +106,9 @@ def test_i_sh_hd_matches_the_cartan_loop(nsl_rs):
 def test_finite_char_small():
     assert CH.finite_char(A1, (0,)) == Character.monomial((0,))
     assert CH.finite_char(A1, (1,)) == Character.monomial((1,)).added(Character.monomial((-1,)))
+    assert CH.finite_char(A1, (1,)) is CH.finite_char(A1, (1,))  # one shared instance
+    with pytest.raises(CH.CharacterError):
+        CH.finite_char(A1, (-1,))
 
 
 def test_finite_char_g2_mass():
@@ -127,14 +131,14 @@ def _requested_finite_chars(monkeypatch, cases):
     """Every (rs, mu) whose irreducible character decompose_hd asks for in
     verify_main."""
     requests = {}
-    cached = CH._finite_char_cached
+    cached = CH.finite_char
 
     def recorded(rs, mu):
         requests[(rs, mu)] = None
         return cached(rs, mu)
 
     with monkeypatch.context() as mp:
-        mp.setattr(CH, "_finite_char_cached", recorded)
+        mp.setattr(CH, "finite_char", recorded)
         for letter, rank, coeffs in cases:
             rs = root_system(letter, rank)
             assert DC.verify_main(rs, rs.weight_of(coeffs)).ok

@@ -182,6 +182,17 @@ def test_raise_cap_bounds_the_longest_raising_chain(capsys, command):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("command,option,value", [
+    (command, option, value) for command, (_, _, options) in cli.COMMANDS.items()
+    for option in ("--node-cap", "--raise-cap") if option in options for value in ("0", "-3")])
+def test_a_cap_below_one_is_a_usage_error(capsys, command, option, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--type", "C", "--rank", "2", "--weight", "1,1", option, value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {option}: a cap must be an integer of at least 1, got '{value}'" in err
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["crystal", "--type", "A", "--rank", "1"])  # no --weight

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import helpers as H
 from conftest import (
     EXPORT_WEIGHTS,
     LARGE_WEIGHTS,
     affine_orbit_bounded,
     finite_path_crystal,
     sweep_weights,
+    two_call_closure,
 )
 from pathcrystals import crystals as C
 from pathcrystals import paths as P
@@ -20,13 +22,13 @@ G2 = root_system("G", 2)
 
 
 def test_zero_path_is_fixed():
-    g = C.generate(A2, P.straight(A2.zero()), A2.nodes)
+    g = C._closure(A2, P.straight(A2.zero()), C.NODE_CAP)
     assert len(g) == 1
 
 
 def test_a1_projected_fundamental_has_two_nodes():
-    seed = P.straight(A1.cl(A1.varpi(1)))
-    g = C.generate(A1, seed, A1.nodes)
+    seed = P.straight(A1.varpi(1)[:-1])
+    g = C._closure(A1, seed, C.NODE_CAP)
     assert len(g) == 2
 
 
@@ -53,7 +55,7 @@ def test_cap_exceeded_signals():
 def test_unnormalized_level_zero_blows_past_cap():
     # without anchoring, the closure keeps absorbing null-root shifts
     with pytest.raises(C.GenerationError):
-        C.generate(A1, P.straight(A1.varpi(1)), A1.nodes, cap=50)
+        C._closure(A1, P.straight(A1.varpi(1)), 50)
 
 
 # -- anchored level-zero generation ------------------------------------------
@@ -71,17 +73,17 @@ def test_level_zero_a1_fundamental():
     g = C.generate_level_zero(A1, A1.varpi(1))
     assert len(g) == 2
     assert all(C.degree(g, k) == 0 for k in range(len(g)))
-    assert sorted(C.full_weight(g, k) for k in range(len(g))) == sorted(
-        [A1.varpi(1), A1.scale(-1, A1.varpi(1))]
+    assert sorted(H.full_weight(g, k) for k in range(len(g))) == sorted(
+        [A1.varpi(1), H.scale(-1, A1.varpi(1))]
     )
 
 
 def test_level_zero_matches_projected_closure():
     for rs, lam in [(A1, A1.weight_of((2,))), (C2, C2.weight_of((1, 0))), (A2, A2.weight_of((1, 1)))]:
         anchored = C.generate_level_zero(rs, lam)
-        projected = C.generate(rs, P.straight(rs.cl(lam)), rs.nodes)
+        projected = C._closure(rs, P.straight(lam[:-1]), C.NODE_CAP)
         assert len(anchored) == len(projected)
-        assert {P.cl_path(rs, p) for p in anchored.nodes} == set(projected.nodes)
+        assert {H.cl_path(rs, p) for p in anchored.nodes} == set(projected.nodes)
 
 
 def test_level_zero_trivial_weight():
@@ -135,7 +137,7 @@ def test_anchored_initial_directions():
         lam = rs.weight_of(coeffs)
         g = C.generate_level_zero(rs, lam)
         for path in g.nodes:
-            assert path.initial_direction()[-1] == 0
+            assert path.dirs[0][-1] == 0
 
 
 def test_tensor_size_multiplicativity():
@@ -152,7 +154,7 @@ def test_compatible_lift_check():
     exercised = 0
     for rs, coeffs in [(A2, (1, 1)), (C2, (1, 0)), (C2, (0, 1)), (G2, (0, 1)), (C2, (1, 1))]:
         g = C.generate_level_zero(rs, rs.weight_of(coeffs))
-        assert C.compatible_lift_check(g) == []
+        assert H.compatible_lift_check(g) == []
         exercised += sum(
             1 for pos in range(len(g)) if (pos, 0) in g.e_edges and (pos, 0) in g.f_edges
         )
@@ -161,7 +163,7 @@ def test_compatible_lift_check():
 
 def test_compatible_lift_check_vacuous_for_zero():
     g = C.generate_level_zero(A2, A2.zero())
-    assert C.compatible_lift_check(g) == []
+    assert H.compatible_lift_check(g) == []
 
 
 def test_classically_highest_seed():
@@ -202,45 +204,6 @@ def test_exports():
 
 # -- the closure against the two-call loop it replaced ---------------------------
 
-def _two_call_closure(rs, seed_paths, ops, cap, normalizer=None):
-    """The closure as it was: f_op and e_op from every node."""
-    nodes = []
-    index = {}
-    f_edges = {}
-    e_edges = {}
-
-    def intern(path):
-        shift = 0
-        if normalizer is not None:
-            path, shift = normalizer(path)
-        pos = index.get(path)
-        if pos is None:
-            pos = len(nodes)
-            if pos >= cap:
-                raise C.GenerationError(f"node cap {cap} exceeded")
-            nodes.append(path)
-            index[path] = pos
-        return pos, shift
-
-    for seed in seed_paths:
-        if not P.is_integral(rs, seed):
-            raise P.PathError("seed path is not integral")
-        intern(seed)
-    head = 0
-    while head < len(nodes):
-        pos = head
-        head += 1
-        path = nodes[pos]
-        for i in ops:
-            down = P.f_op(rs, i, path)
-            if down is not None:
-                f_edges[(pos, i)] = intern(down)
-            up = P.e_op(rs, i, path)
-            if up is not None:
-                e_edges[(pos, i)] = intern(up)
-    return C.CrystalGraph(rs, nodes, index, f_edges, e_edges)
-
-
 def _closure_weights():
     return sweep_weights() + LARGE_WEIGHTS + EXPORT_WEIGHTS
 
@@ -252,6 +215,11 @@ def _assert_same_graph(got, want):
     assert got.e_edges == want.e_edges
 
 
+def _reference_closure(rs, seed, cap, normalizer=None):
+    """The reference with the one-seed, every-node signature of ``_closure``."""
+    return two_call_closure(rs, seed, rs.nodes, cap, normalizer)
+
+
 def test_closure_matches_two_call_reference(monkeypatch):
     weights = _closure_weights()
     assert len(weights) == 107
@@ -260,15 +228,13 @@ def test_closure_matches_two_call_reference(monkeypatch):
         lam = rs.weight_of(coeffs)
         got = C.generate_level_zero(rs, lam)
         with monkeypatch.context() as m:
-            m.setattr(C, "_closure", _two_call_closure)
+            m.setattr(C, "_closure", _reference_closure)
             want = C.generate_level_zero(rs, lam)
         _assert_same_graph(got, want)
         if len(got) <= 100:
-            seed = P.straight(rs.cl(lam))
-            _assert_same_graph(finite_path_crystal(rs, coeffs),
-                               _two_call_closure(rs, [seed], tuple(rs.finite_nodes), C.NODE_CAP))
-            _assert_same_graph(C.generate(rs, seed, rs.nodes),
-                               _two_call_closure(rs, [seed], tuple(rs.nodes), C.NODE_CAP))
+            seed = P.straight(lam[:-1])
+            _assert_same_graph(C._closure(rs, seed, C.NODE_CAP),
+                               _reference_closure(rs, seed, C.NODE_CAP))
 
 
 @pytest.mark.parametrize("letter,rank,coeffs", [("C", 2, (1, 1)), ("G", 2, (0, 2))])
@@ -278,7 +244,7 @@ def test_closure_trips_the_cap_where_the_reference_does(monkeypatch, letter, ran
     size = len(C.generate_level_zero(rs, lam))
     for cap in (size - 1, size):
         outcomes = []
-        for closure in (C._closure, _two_call_closure):
+        for closure in (C._closure, _reference_closure):
             with monkeypatch.context() as m:
                 m.setattr(C, "_closure", closure)
                 try:
@@ -324,7 +290,7 @@ def test_shift_matches_a_path_built_from_scratch():
     for letter, rank, coeffs in sweep_weights() + LARGE_WEIGHTS:
         rs = root_system(letter, rank)
         lam = rs.weight_of(coeffs)
-        weights = [rs.scale(-2, rs.delta()), rs.delta(), rs.simple_root(0), lam,
+        weights = [H.scale(-2, rs.delta()), rs.delta(), rs.simple_root(0), lam,
                    tuple(Fraction(v, 2) for v in rs.simple_root(rank))]
         for path in C.level_zero_cached(rs, lam).nodes:
             for weight in weights:

@@ -89,7 +89,7 @@ def test_params_round_trip():
             )
             assert spec.target == want
             assert rs.level(spec.Lambda) == ell
-            assert rs.is_dominant(spec.Lambda)
+            assert all(spec.Lambda[i] >= 0 for i in rs.nodes)
             # the resolved target is antidominant at every finite node
             assert all(spec.target[i] <= 0 for i in rs.finite_nodes)
 

@@ -13,6 +13,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 import fraction_paths as R
+import helpers as H
 from conftest import ALL_TYPES
 from pathcrystals import paths as P
 from pathcrystals.rootdata import root_system
@@ -78,8 +79,8 @@ def compare_at(rs, new, ref):
     assert P.is_integral(rs, new) == R.is_integral(rs, ref)
     assert new.endpoint() == ref.endpoint()
     for i in rs.nodes:
-        assert P.h_profile(rs, new, i) == R.h_profile(rs, ref, i)
-        assert P.min_h(rs, new, i) == R.min_h(rs, ref, i)
+        assert H.h_profile(rs, new, i) == R.h_profile(rs, ref, i)
+        assert H.min_h(rs, new, i) == R.min_h(rs, ref, i)
         assert_same_outcome(outcome(P.eps_phi, rs, i, new), outcome(R.eps_phi, rs, i, ref))
         for op_new, op_ref in ((P.e_op, R.e_op), (P.f_op, R.f_op)):
             got = outcome(op_new, rs, i, new)
@@ -93,7 +94,7 @@ def compare_at(rs, new, ref):
 def test_kernel_matches_fraction_reference(data):
     rs = root_system(*data.draw(st.sampled_from(ALL_TYPES)))
     dirs, sigmas = data.draw(expressions(rs))
-    new = P.make_path(dirs, sigmas)
+    new = H.make_path(dirs, sigmas)
     ref = R.make_path(dirs, sigmas)
     compare_at(rs, new, ref)
 
@@ -109,7 +110,7 @@ def test_kernel_matches_fraction_reference(data):
             compare_at(rs, new, ref)
 
     dirs2, sigmas2 = data.draw(expressions(rs))
-    other_new = P.make_path(dirs2, sigmas2)
+    other_new = H.make_path(dirs2, sigmas2)
     other_ref = R.make_path(dirs2, sigmas2)
     both = P.concat(new, other_new)
     assert same_path(both, R.concat(ref, other_ref))
@@ -120,7 +121,7 @@ def test_kernel_matches_fraction_reference(data):
         delta=data.draw(st.integers(-2, 2)),
     )
     assert same_path(P.shift(new, weight), R.shift(ref, weight))
-    assert same_path(P.cl_path(rs, new), R.cl_path(rs, ref))
+    assert same_path(H.cl_path(rs, new), R.cl_path(rs, ref))
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,5 +135,5 @@ def test_make_path_errors_match_fraction_reference(data):
         min_size=count, max_size=count,
     ))
     assert_same_outcome(
-        outcome(P.make_path, dirs, sigmas), outcome(R.make_path, dirs, sigmas), same_path
+        outcome(H.make_path, dirs, sigmas), outcome(R.make_path, dirs, sigmas), same_path
     )

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers as H
 from pathcrystals import paths as P
 from pathcrystals.cli import random_integral_path
 from pathcrystals.rootdata import root_system
@@ -18,14 +19,14 @@ G2 = root_system("G", 2)
 
 def test_canonical_form_merges_and_drops():
     w = A1.varpi(1)
-    p = P.make_path([w, w, A1.zero(), A1.zero()], [Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 1])
+    p = H.make_path([w, w, A1.zero(), A1.zero()], [Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 1])
     assert p.dirs == (w, A1.zero())
     assert p.sigmas == (Fraction(1, 2), Fraction(1))
 
 
 def test_path_equality_is_canonical():
     w = A1.varpi(1)
-    a = P.make_path([w, w], [Fraction(1, 3), 1])
+    a = H.make_path([w, w], [Fraction(1, 3), 1])
     assert a == P.straight(w)
     assert hash(a) == hash(P.straight(w))
 
@@ -36,17 +37,17 @@ def test_profile_straight_line():
     lam = A2.weight_of((2, 1))
     p = P.straight(lam)
     for i in A2.nodes:
-        prof = P.h_profile(A2, p, i)
+        prof = H.h_profile(A2, p, i)
         assert prof[0] == (0, 0) and prof[-1] == (1, lam[i])
-        assert P.min_h(A2, p, i) == min(0, lam[i])
+        assert H.min_h(A2, p, i) == min(0, lam[i])
 
 
 def test_profile_tent():
     # straight to varpi, then its reflection: pairing rises to 1 and returns
     p = P.concat(P.straight(A1.varpi(1)), P.straight(A1.reflect(1, A1.varpi(1))))
-    prof = P.h_profile(A1, p, 1)
+    prof = H.h_profile(A1, p, 1)
     assert prof == [(0, 0), (Fraction(1, 2), 1), (1, 0)]
-    assert P.min_h(A1, p, 1) == 0
+    assert H.min_h(A1, p, 1) == 0
 
 
 def test_is_integral_basic():
@@ -90,14 +91,14 @@ def test_raising_blocked_at_dominant():
 
 def test_affine_raising_reflects_whole_path():
     out = P.e_op(A1, 0, P.straight(A1.varpi(1)))
-    expected = P.straight(A1.add(A1.scale(-1, A1.varpi(1)), A1.delta()))
+    expected = P.straight(A1.add(H.scale(-1, A1.varpi(1)), A1.delta()))
     assert out == expected
 
 
 def test_lowering_a1():
     w = A1.varpi(1)
     out = P.f_op(A1, 1, P.straight(w))
-    assert out == P.straight(A1.scale(-1, w))
+    assert out == P.straight(H.scale(-1, w))
     assert P.f_op(A1, 1, out) is None
 
 
@@ -209,14 +210,14 @@ def test_s_op_involution():
         rs = rng.choice([A2, C2])
         path = random_integral_path(rs, rng)
         for i in rs.nodes:
-            assert P.s_op(rs, i, P.s_op(rs, i, path)) == path
+            assert H.s_op(rs, i, H.s_op(rs, i, path)) == path
 
 
 def test_s_op_monotone_profile_is_pointwise_reflection():
     lam = C2.weight_of((1, 1))
     p = P.straight(lam)
     for i in C2.nodes:
-        out = P.s_op(C2, i, p)
+        out = H.s_op(C2, i, p)
         assert out == P.straight(C2.reflect(i, lam))
 
 
@@ -230,7 +231,7 @@ def test_braid_relations_on_straight_paths(rs, braid):
     p = P.straight(lam)
     w1 = tuple(1 if k % 2 == 0 else 2 for k in range(braid))
     w2 = tuple(2 if k % 2 == 0 else 1 for k in range(braid))
-    assert P.weyl_act(rs, w1, p) == P.weyl_act(rs, w2, p)
+    assert H.weyl_act(rs, w1, p) == H.weyl_act(rs, w2, p)
 
 
 def test_raising_fixes_high_initial_stretch():
@@ -243,8 +244,8 @@ def test_raising_fixes_high_initial_stretch():
             up = P.e_op(rs, i, path)
             if up is None:
                 continue
-            m = P.min_h(rs, path, i)
-            prof = P.h_profile(rs, path, i)
+            m = H.min_h(rs, path, i)
+            prof = H.h_profile(rs, path, i)
             hold = Fraction(0)
             for (t0, v0), (t1, v1) in zip(prof, prof[1:]):
                 if v0 >= m + 1 and v1 >= m + 1:
@@ -253,27 +254,27 @@ def test_raising_fixes_high_initial_stretch():
                     break
             for k in range(5):
                 t = hold * k / 4
-                assert up.value(t) == path.value(t)
+                assert H.value(up, t) == H.value(path, t)
 
 
 def test_raising_with_flat_minimum_stretch():
     # profile 0 -> -1, flat at -1, back to 0: raise reflects only the descent
-    w3 = A1.scale(3, A1.varpi(1))
-    p = P.make_path(
-        [A1.scale(-1, w3), A1.zero(), w3],
+    w3 = H.scale(3, A1.varpi(1))
+    p = H.make_path(
+        [H.scale(-1, w3), A1.zero(), w3],
         [Fraction(1, 3), Fraction(2, 3), 1],
     )
-    assert P.min_h(A1, p, 1) == -1
+    assert H.min_h(A1, p, 1) == -1
     out = P.e_op(A1, 1, p)
-    assert out == P.make_path([w3, A1.zero(), w3], [Fraction(1, 3), Fraction(2, 3), 1])
+    assert out == H.make_path([w3, A1.zero(), w3], [Fraction(1, 3), Fraction(2, 3), 1])
     assert out.endpoint() == A1.add(p.endpoint(), A1.simple_root(1))
 
 
 def test_lowering_with_flat_minimum_stretch():
     # same tent: lowering reflects the final ascent, landing one level lower
-    w3 = A1.scale(3, A1.varpi(1))
-    p = P.make_path(
-        [A1.scale(-1, w3), A1.zero(), w3],
+    w3 = H.scale(3, A1.varpi(1))
+    p = H.make_path(
+        [H.scale(-1, w3), A1.zero(), w3],
         [Fraction(1, 3), Fraction(2, 3), 1],
     )
     out = P.f_op(A1, 1, p)
@@ -286,12 +287,12 @@ def test_lowering_with_flat_minimum_stretch():
 def test_interior_crossing_is_exact():
     # steep descent crosses level m+1 strictly inside a segment: the raise
     # must cut at the exact rational crossing time t = 1/4
-    w = A1.scale(2, A1.varpi(1))
-    p = P.make_path([A1.scale(-2, w), w], [Fraction(1, 2), 1])
-    assert P.min_h(A1, p, 1) == -2
+    w = H.scale(2, A1.varpi(1))
+    p = H.make_path([H.scale(-2, w), w], [Fraction(1, 2), 1])
+    assert H.min_h(A1, p, 1) == -2
     out = P.e_op(A1, 1, p)
-    expected = P.make_path(
-        [A1.scale(-2, w), A1.scale(2, w), w],
+    expected = H.make_path(
+        [H.scale(-2, w), H.scale(2, w), w],
         [Fraction(1, 4), Fraction(1, 2), 1],
     )
     assert out == expected
@@ -323,18 +324,3 @@ def test_operator_axioms_hypothesis(data):
         assert P.f_op(rs, i, up) == path
         assert P.is_integral(rs, up)
 
-
-def test_json_round_trip():
-    rng = random.Random(43)
-    path = random_integral_path(A2, rng)
-    assert P.path_from_json(P.path_to_json(path)) == path
-
-
-def test_json_rejects_non_canonical():
-    w = A1.varpi(1)
-    records = [
-        {"direction": list(w), "sigma": "1/2"},
-        {"direction": list(w), "sigma": "1/1"},
-    ]
-    with pytest.raises(P.PathError):
-        P.path_from_json(records)
