@@ -155,17 +155,29 @@ def classically_highest(graph: CrystalGraph) -> list:
 
 # -- exports ---------------------------------------------------------------
 
+def _id_and_breakpoints(path: P.Path):
+    """The node id, and the breakpoints as reduced (numerator, denominator)."""
+    scale = path.ts[-1]
+    pairs = [(t // g, scale // g) for t in path.ts for g in (gcd(t, scale),)]
+    # the id prints a breakpoint as a Fraction does: n/1 as n
+    blob = repr((path.dirs, tuple(f"{n}/{d}" if d != 1 else str(n) for n, d in pairs)))
+    return hashlib.sha1(blob.encode()).hexdigest()[:12], pairs
+
+
 def node_id(path: P.Path) -> str:
-    blob = repr((path.dirs, tuple(str(s) for s in path.sigmas)))
-    return hashlib.sha1(blob.encode()).hexdigest()[:12]
+    return _id_and_breakpoints(path)[0]
 
 
 def graph_to_json(graph: CrystalGraph, with_degrees: bool = False) -> dict:
-    ids = [node_id(path) for path in graph.nodes]
+    ids = []
     nodes = []
-    for pos, path in enumerate(graph.nodes):
+    for path in graph.nodes:
+        ident, breakpoints = _id_and_breakpoints(path)
+        ids.append(ident)
         weight = path.endpoint()
-        rec = {"id": ids[pos], "weight": list(weight), "path": P.path_to_json(path)}
+        rec = {"id": ident, "weight": list(weight),
+               "path": [{"direction": list(mu), "sigma": f"{n}/{d}"}
+                        for mu, (n, d) in zip(path.dirs, breakpoints)]}
         if with_degrees:
             rec["degree"] = -weight[-1]
         nodes.append(rec)

@@ -52,14 +52,17 @@ class DecompositionError(RuntimeError):
 def _raised(rs: RootSystem, Lambda: Weight, graph: CrystalGraph, pos: int):
     """Target of the first e_i (in ``rs.nodes`` order) raising the straight
     path of Lambda followed by node ``pos``, or None.  The straight part's
-    profile is nonnegative, so e_i raises when the node's profile H_i dips
-    below ``-Lambda[i]``, along the recorded e_i-edge; e-stability forbids
-    that edge a shift."""
-    path = graph.nodes[pos]
+    profile is nonnegative, so e_i raises when epsilon_i of the node exceeds
+    ``Lambda[i]``, that is when the node's recorded e_i-string has more than
+    ``Lambda[i]`` edges, and it raises along the first of them; e-stability
+    forbids that edge a shift."""
+    e_edges = graph.e_edges
     for i in rs.nodes:
-        # the vertex column holds H_i times the path's scale
-        if min(path.hs[i]) < -Lambda[i] * path.ts[-1]:
-            tgt, shift = graph.e_edges[(pos, i)]
+        edge = up = e_edges.get((pos, i))
+        for _ in range(Lambda[i]):
+            up = up and e_edges.get((up[0], i))
+        if up:
+            tgt, shift = edge
             if shift:
                 raise DecompositionError(f"raising {pos} by e_{i} shifts it by {shift}")
             return tgt
@@ -256,11 +259,11 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
         (mu, m) for mu, m, mult in filtration for _ in range(mult)
     )
 
+    members = Counter(p for comp in image.components for p in comp.members)
     checks = {
         "char_a_eq_b": a_char == b_char,
         "multiset_b_eq_c": b_multiset == image.multiset(),
-        "partition": sorted(p for comp in image.components for p in comp.members)
-        == list(range(len(graph))),
+        "partition": sorted(members.elements()) == list(range(len(graph))),
     }
 
     prod = 1
@@ -289,6 +292,12 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
         b_count, c_count = Counter(b_multiset), Counter(image.multiset())
         details.append(f"multiset_b_eq_c: b - c = {sorted((b_count - c_count).elements())}, "
                        f"c - b = {sorted((c_count - b_count).elements())}")
+    if not checks["partition"]:
+        missing = [p for p in range(len(graph)) if p not in members]
+        repeated = sorted(p for p, count in members.items() if count > 1)
+        details.append(f"partition: missing positions {missing}, repeated positions {repeated}")
+    if not checks["dimension_product"]:
+        details.append(f"dimension_product: product {prod}, crystal size {len(graph)}")
     if not checks["graded_multiplicities"]:
         differ = {mu: (graded.get(mu), direct.get(mu)) for mu in graded.keys() | direct.keys()}
         differ = {mu: pair for mu, pair in sorted(differ.items()) if pair[0] != pair[1]}

@@ -3,25 +3,26 @@
 A path is stored by its expression: a sequence of direction weights and the
 strictly increasing breakpoints where the direction changes.  Breakpoints
 are integer time numerators ``ts`` over the path's scale ``ts[-1]``, reduced
-so that ``gcd(ts) == 1``; ``sigmas`` gives them back as fractions.  Two
-paths are equal exactly when their canonical forms agree (zero-length
-segments dropped, equal adjacent directions merged, times reduced), which
-makes paths hashable and crystal generation a plain set closure.
+so that ``gcd(ts) == 1``.  Two paths are equal exactly when their canonical
+forms agree (zero-length segments dropped, equal adjacent directions
+merged, times reduced), which makes paths hashable and crystal generation a
+plain set closure.
 
-Each path computes its cumulative vertex numerators once, when it is built:
-``hs[p][k]`` is ``scale`` times coordinate ``p`` of the path at its k-th
-vertex (``hs[p][0] == 0``).  The pairing profile H_i is the column
-``hs[i]``, so the root operators compare integers and test integrality as
-``v % scale == 0``.  A level crossing strictly inside a segment is made a
-breakpoint by rescaling the whole path, so all arithmetic stays exact; no
-tolerances appear anywhere.  Directions may have fractional entries, in
-which case the numerators are fractions and the same code runs on them.
+A path stores nothing beyond its expression.  Each root operator computes
+the one column it reads, once per call: ``scale`` times H_i at every vertex,
+in one pass over the segments.  So the operators compare integers and test
+integrality as ``v % scale == 0``.  A level crossing strictly inside a
+segment is made a breakpoint by rescaling the whole path, so all arithmetic
+stays exact; no tolerances appear anywhere.  Directions may have fractional
+entries, in which case the numerators are fractions and the same code runs
+on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .rootdata import RootSystem, Weight, normalize_weight
 
@@ -40,20 +41,11 @@ class Path:
     constructor takes an expression that is already canonical.
     """
 
-    __slots__ = ("dirs", "ts", "hs")
+    __slots__ = ("dirs", "ts")
 
     def __init__(self, dirs: tuple, ts: tuple):
         self.dirs = dirs
         self.ts = ts
-        acc = [0] * len(dirs[0])
-        rows = [acc]
-        prev = 0
-        for mu, t in zip(dirs, ts):
-            dt = t - prev
-            acc = [a + dt * c for a, c in zip(acc, mu)]
-            rows.append(acc)
-            prev = t
-        self.hs = tuple(zip(*rows))
 
     def __eq__(self, other):
         if not isinstance(other, Path):
@@ -66,15 +58,9 @@ class Path:
     def __repr__(self):
         return f"Path(dirs={self.dirs!r}, ts={self.ts!r})"
 
-    @property
-    def sigmas(self) -> tuple:
-        """The breakpoints as reduced fractions of the unit interval."""
-        scale = self.ts[-1]
-        return tuple(Fraction(t, scale) for t in self.ts)
-
     def endpoint(self) -> Weight:
-        scale = self.ts[-1]
-        return tuple(_over(col[-1], scale) for col in self.hs)
+        spans = [t - s for t, s in zip(self.ts, (0,) + self.ts)]
+        return tuple(_over(sum(map(mul, spans, col)), self.ts[-1]) for col in zip(*self.dirs))
 
 
 def _over(v, scale):
@@ -122,14 +108,8 @@ def straight(weight: Weight) -> Path:
 def shift(path: Path, weight: Weight) -> Path:
     """Add the straight-line path of ``weight`` pointwise."""
     # adding one weight to every direction keeps neighbours distinct
-    out = Path.__new__(Path)
-    out.dirs = tuple(normalize_weight([a + b for a, b in zip(mu, weight)]) for mu in path.dirs)
-    out.ts = path.ts
-    # vertex k moves by weight * t_k, so a column with weight 0 is unchanged
-    times = (0,) + path.ts
-    out.hs = tuple(col if c == 0 else tuple([v + c * t for v, t in zip(col, times)])
-                   for col, c in zip(path.hs, weight))
-    return out
+    return Path(tuple(normalize_weight([a + b for a, b in zip(mu, weight)]) for mu in path.dirs),
+                path.ts)
 
 
 def concat(p1: Path, p2: Path) -> Path:
@@ -150,6 +130,17 @@ def concat(p1: Path, p2: Path) -> Path:
 
 
 # -- vertex columns and the root operators ---------------------------------
+
+def _column(path: Path, i: int) -> list:
+    """``scale`` times H_i at every vertex, vertex 0 (value 0) first."""
+    col = [0]
+    v = prev = 0
+    for mu, t in zip(path.dirs, path.ts):
+        v += (t - prev) * mu[i]
+        col.append(v)
+        prev = t
+    return col
+
 
 def _axis_integral(col, scale) -> bool:
     """Every local minimum of the vertex column is a multiple of ``scale``.
@@ -174,24 +165,25 @@ def _axis_integral(col, scale) -> bool:
 def is_integral(rs: RootSystem, path: Path) -> bool:
     """Every local minimum of every H_i is an integer."""
     scale = path.ts[-1]
-    return all(_axis_integral(path.hs[i], scale) for i in rs.nodes)
+    return all(_axis_integral(_column(path, i), scale) for i in rs.nodes)
 
 
 def _integral_column(path: Path, i: int):
-    col = path.hs[i]
+    col = _column(path, i)
     if not _axis_integral(col, path.ts[-1]):
         raise PathError(f"path is not integral along node {i}")
     return col
 
 
-def _crossing(path: Path, k: int, level, i: int):
-    """Where H_i reaches ``level`` on segment k (from vertex k to k+1).
+def _crossing(path: Path, col: list, k: int, level, i: int):
+    """Where H_i, with vertex column ``col``, reaches ``level`` on segment k
+    (from vertex k to k+1).
 
     Returns (g, t): the path's times scaled by g make the crossing the
     integer time t; g = |slope| / gcd(level - v, slope) when it falls
     strictly between breakpoints, else 1.
     """
-    num = level - path.hs[i][k]
+    num = level - col[k]
     slope = path.dirs[k][i]
     start = _time(path, k)
     if type(num) is int and type(slope) is int:
@@ -238,7 +230,7 @@ def e_op(rs: RootSystem, i: int, path: Path):
     k = k1 - 1
     while col[k] < level:
         k -= 1
-    g, t0 = _crossing(path, k, level, i)
+    g, t0 = _crossing(path, col, k, level, i)
     return _reflected(rs, path, i, g, t0, _time(path, k1) * g)
 
 
@@ -254,7 +246,7 @@ def f_op(rs: RootSystem, i: int, path: Path):
     k = k0 + 1
     while col[k] < level:
         k += 1
-    g, t1 = _crossing(path, k - 1, level, i)
+    g, t1 = _crossing(path, col, k - 1, level, i)
     return _reflected(rs, path, i, g, _time(path, k0) * g, t1)
 
 
@@ -268,11 +260,3 @@ def eps_phi(rs: RootSystem, i: int, path: Path):
         raise PathError(f"endpoint pairing at node {i} is not integral")
     return int(-m // scale), int(phi // scale)
 
-
-# -- serialization -------------------------------------------------------
-
-def path_to_json(path: Path) -> list:
-    return [
-        {"direction": list(mu), "sigma": f"{s.numerator}/{s.denominator}"}
-        for mu, s in zip(path.dirs, path.sigmas)
-    ]

@@ -53,12 +53,37 @@ def make_path(dirs, sigmas) -> P.Path:
     return P._canonical(out_dirs, ts)
 
 
+def sigmas(path: P.Path) -> tuple:
+    """The breakpoints as reduced fractions of the unit interval."""
+    scale = path.ts[-1]
+    return tuple(Fraction(t, scale) for t in path.ts)
+
+
+def vertex_columns(path: P.Path) -> tuple:
+    """Every vertex column at once, as ``Path`` once stored them:
+    ``[p][k]`` is ``scale`` times coordinate ``p`` at the k-th vertex."""
+    acc = [0] * len(path.dirs[0])
+    rows = [acc]
+    prev = 0
+    for mu, t in zip(path.dirs, path.ts):
+        dt = t - prev
+        acc = [a + dt * c for a, c in zip(acc, mu)]
+        rows.append(acc)
+        prev = t
+    return tuple(zip(*rows))
+
+
+def kernel_columns(path: P.Path) -> tuple:
+    """Every vertex column, each computed the way the operators compute it."""
+    return tuple(tuple(P._column(path, p)) for p in range(len(path.dirs[0])))
+
+
 def value(path: P.Path, t) -> tuple:
     """pi(t), exactly."""
     t = Fraction(t)
     acc = [Fraction(0)] * len(path.dirs[0])
     prev = Fraction(0)
-    for mu, s in zip(path.dirs, path.sigmas):
+    for mu, s in zip(path.dirs, sigmas(path)):
         seg = min(t, s) - prev
         if seg <= 0:
             break
@@ -81,13 +106,13 @@ def h_profile(rs, path: P.Path, i: int):
     scale = path.ts[-1]
     return [
         (Fraction(t, scale), Fraction(v, scale))
-        for t, v in zip((0,) + path.ts, path.hs[i])
+        for t, v in zip((0,) + path.ts, P._column(path, i))
     ]
 
 
 def min_h(rs, path: P.Path, i: int):
     """The minimum of H_i."""
-    return P._over(min(path.hs[i]), path.ts[-1])
+    return P._over(min(P._column(path, i)), path.ts[-1])
 
 
 def s_op(rs, i: int, path: P.Path) -> P.Path:

@@ -5,9 +5,11 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcrystals import cli
 from pathcrystals import decompose as DC
@@ -339,3 +341,52 @@ def test_a_replaced_handler_takes_effect_after_the_first_call(capsys, monkeypatc
     assert run(capsys, argv)[0] == 5
     # the parsed options carry no handler: main reads it from COMMANDS
     assert len(seen) == 1 and not any(callable(v) for v in vars(seen[0]).values())
+
+
+# -- the JSON writer against json.dumps ------------------------------------------
+
+def _dumped(obj):
+    chunks = []
+    cli._dump(obj, chunks.append)
+    return "".join(chunks), len(chunks)
+
+
+_TEXT = st.text() | st.text(alphabet=st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\U0001d11e'))
+_LEAF = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | _TEXT)
+_TREE = st.recursive(
+    _LEAF,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, children, max_size=4)
+                      | st.dictionaries(st.integers(-10**20, 10**20), children, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREE)
+def test_dump_matches_json_dumps(tree):
+    assert _dumped(tree)[0] == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_writes_a_large_payload_in_several_chunks():
+    payload = {"rows": [{"id": k, "name": f"n{k}", "seen": k % 3 == 0} for k in range(3000)]}
+    text, writes = _dumped(payload)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert writes > 1
+
+
+def test_dump_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        json.dumps({"a": Fraction(1, 2)})
+    with pytest.raises(TypeError, match="Fraction"):
+        cli._dump({"a": [Fraction(1, 2)]}, lambda text: None)
+    with pytest.raises(TypeError, match="keys must be"):
+        cli._dump({(1, 2): 0}, lambda text: None)
+
+
+def test_dump_round_trips_every_json_golden():
+    json_cases = [case_id for case_id, argv, _ in CASES if "--format" not in argv]
+    assert len(json_cases) >= 10
+    for case_id in json_cases:
+        text = (GOLDEN / f"{case_id}.out").read_text()
+        assert _dumped(json.loads(text))[0] == text, case_id

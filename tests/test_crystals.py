@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -298,4 +299,31 @@ def test_shift_matches_a_path_built_from_scratch():
                 dirs = tuple(normalize_weight([a + b for a, b in zip(mu, weight)])
                              for mu in path.dirs)
                 want = P.Path(dirs, path.ts)
-                assert (got.dirs, got.ts, got.hs) == (want.dirs, want.ts, want.hs)
+                assert (got.dirs, got.ts, H.kernel_columns(got)) == (
+                    want.dirs, want.ts, H.vertex_columns(want))
+
+
+def test_columns_and_endpoint_match_the_vertex_columns():
+    # every node of the sweep and large crystals, against the builder the
+    # paths once ran on construction
+    for letter, rank, coeffs in sweep_weights() + LARGE_WEIGHTS:
+        rs = root_system(letter, rank)
+        for path in C.level_zero_cached(rs, rs.weight_of(coeffs)).nodes:
+            columns = H.vertex_columns(path)
+            assert H.kernel_columns(path) == columns
+            assert path.endpoint() == tuple(P._over(col[-1], path.ts[-1]) for col in columns)
+
+
+def test_export_breakpoints_match_their_fractions():
+    # the node id and the JSON breakpoints, reduced by gcd, against the
+    # Fraction forms they replaced, on every node of the sweep crystals
+    for letter, rank, coeffs in sweep_weights():
+        rs = root_system(letter, rank)
+        graph = C.level_zero_cached(rs, rs.weight_of(coeffs))
+        records = C.graph_to_json(graph)["nodes"]
+        for path, rec in zip(graph.nodes, records):
+            sigmas = H.sigmas(path)
+            blob = repr((path.dirs, tuple(str(s) for s in sigmas)))
+            assert C.node_id(path) == rec["id"] == hashlib.sha1(blob.encode()).hexdigest()[:12]
+            assert [seg["sigma"] for seg in rec["path"]] == [
+                f"{s.numerator}/{s.denominator}" for s in sigmas]

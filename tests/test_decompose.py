@@ -1,12 +1,14 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
 import helpers as H
-from conftest import ALL_TYPES, NOT_GENERATED
+from conftest import ALL_TYPES, LARGE_WEIGHTS, NOT_GENERATED
 from conftest import small_weights as _small_weights
 from pathcrystals import characters as CH
+from pathcrystals import cli
 from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
 from pathcrystals import paths as P
@@ -226,6 +228,43 @@ def test_walk_matches_raising_reference_on_large_weights(letter, rank, coeffs):
     _assert_walk_matches_reference(rs, C.level_zero_cached(rs, rs.weight_of(coeffs)))
 
 
+def _column_minimum_raised(rs, Lambda, graph, pos):
+    """``_raised`` as it was: e_i raises when the minimum of the node's
+    vertex column at i lies below ``-Lambda[i]`` times the scale."""
+    path = graph.nodes[pos]
+    columns = H.vertex_columns(path)
+    for i in rs.nodes:
+        if min(columns[i]) < -Lambda[i] * path.ts[-1]:
+            tgt, shift = graph.e_edges[(pos, i)]
+            if shift:
+                raise DC.DecompositionError(f"raising {pos} by e_{i} shifts it by {shift}")
+            return tgt
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except DC.DecompositionError as exc:
+        return "raise", str(exc)
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES, ids=lambda v: str(v))
+def test_raised_matches_the_column_minimum_rule(letter, rank):
+    # the recorded e_i-string is longer than Lambda[i] exactly when the
+    # node's profile dips below -Lambda[i]; every node of the sweep and
+    # large crystals, under the basic weight and its double
+    rs = root_system(letter, rank)
+    weights = [c for c in _small_weights(rs) if (letter, rank, c) not in NOT_GENERATED]
+    weights += [c for lr, r, c in LARGE_WEIGHTS if (lr, r) == (letter, rank)]
+    for coeffs in weights:
+        graph = C.level_zero_cached(rs, rs.weight_of(coeffs))
+        for Lambda in (rs.fundamental(0), H.scale(2, rs.fundamental(0))):
+            for pos in range(len(graph)):
+                assert _outcome(DC._raised, rs, Lambda, graph, pos) == _outcome(
+                    _column_minimum_raised, rs, Lambda, graph, pos)
+
+
 def test_image_calls_no_path_function(monkeypatch):
     graph = C.generate_level_zero(C2, C2.weight_of((2, 1)))
     calls = []
@@ -273,7 +312,7 @@ def sh_embed(rs, lam, short_path):
         if any(isinstance(c, Fraction) for c in d):
             raise DC.DecompositionError(f"embedded direction {d} is not integral")
         dirs.append(d)
-    return H.make_path(dirs, short_path.sigmas)
+    return H.make_path(dirs, H.sigmas(short_path))
 
 
 def test_sh_embed_straight_seed(nsl_rs):
@@ -437,6 +476,47 @@ def test_verify_main_keeps_failure_details(monkeypatch):
     rep = DC.verify_main(C2, C2.weight_of((1, 0)))
     assert not rep.checks["short_restriction"]
     assert rep.details and rep.details[0].startswith("path-side projection differs")
+
+
+def test_partition_failure_names_the_positions(capsys, monkeypatch):
+    # the first component loses its last member, the second repeats its first
+    real = DC.decompose_tensor_image
+
+    def broken(*args, **kwargs):
+        image = real(*args, **kwargs)
+        first, second = image.components[:2]
+        first.members.pop()
+        second.members.append(second.members[0])
+        return image
+
+    monkeypatch.setattr(DC, "decompose_tensor_image", broken)
+    image = real(C2, C.level_zero_cached(C2, C2.weight_of((2, 0))))
+    lost, twice = image.components[0].members[-1], image.components[1].members[0]
+    code = cli.main(["verify", "--type", "C", "--rank", "2", "--weight", "2,0"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["reports"][0]["checks"]["partition"] is False
+    assert (f"verify [2, 0]: partition: missing positions [{lost}], "
+            f"repeated positions [{twice}]\n") in err
+
+
+def test_dimension_product_failure_names_both_sides(capsys, monkeypatch):
+    # each fundamental crystal reads one node larger than it is
+    real = C.level_zero_cached
+    lam = C2.weight_of((1, 1))
+
+    def grown(rs, weight, cap=C.NODE_CAP):
+        graph = real(rs, weight, cap)
+        return graph if weight == lam else [None] * (len(graph) + 1)
+
+    monkeypatch.setattr(DC, "level_zero_cached", grown)
+    size = len(real(C2, lam))
+    product = (len(real(C2, C2.varpi(1))) + 1) * (len(real(C2, C2.varpi(2))) + 1)
+    code = cli.main(["verify", "--type", "C", "--rank", "2", "--weight", "1,1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["reports"][0]["checks"]["dimension_product"] is False
+    assert f"verify [1, 1]: dimension_product: product {product}, crystal size {size}\n" in err
 
 
 def test_verify_main_reports_graded_series():

@@ -22,7 +22,7 @@ from pathcrystals.rootdata import root_system
 def same_path(new, ref):
     if new is None or ref is None:
         return new is None and ref is None
-    return new.dirs == ref.dirs and new.sigmas == ref.sigmas
+    return new.dirs == ref.dirs and H.sigmas(new) == ref.sigmas
 
 
 def outcome(fn, *args):
@@ -44,7 +44,9 @@ def assert_canonical(path):
     ts = path.ts
     assert all(a < b for a, b in zip((0,) + ts, ts))
     assert gcd(*ts) == 1
-    assert path.hs == P.Path(path.dirs, path.ts).hs
+    columns = H.vertex_columns(path)
+    assert H.kernel_columns(path) == columns
+    assert path.endpoint() == tuple(P._over(col[-1], ts[-1]) for col in columns)
 
 
 @st.composite

@@ -21,7 +21,13 @@ def test_canonical_form_merges_and_drops():
     w = A1.varpi(1)
     p = H.make_path([w, w, A1.zero(), A1.zero()], [Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 1])
     assert p.dirs == (w, A1.zero())
-    assert p.sigmas == (Fraction(1, 2), Fraction(1))
+    assert H.sigmas(p) == (Fraction(1, 2), Fraction(1))
+
+
+def test_a_path_stores_only_its_expression():
+    # the operators compute the one column they read; nothing else is kept
+    assert P.Path.__slots__ == ("dirs", "ts")
+    assert not hasattr(P.straight(A1.varpi(1)), "__dict__")
 
 
 def test_path_equality_is_canonical():
@@ -74,7 +80,7 @@ def test_integral_directions_keep_integer_numerators():
         for out in [path] + [op(rs, i, path) for i in rs.nodes for op in (P.e_op, P.f_op)]:
             if out is not None:
                 assert all(type(t) is int for t in out.ts)
-                assert all(type(v) is int for col in out.hs for v in col)
+                assert all(type(v) is int for col in H.kernel_columns(out) for v in col)
 
 
 def test_non_integral_input_raises():
