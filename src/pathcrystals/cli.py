@@ -41,6 +41,7 @@ SUPPORTED = {
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MISMATCH = 2
+EXIT_LIMIT = 3
 
 
 def _parse_weight(rs, text):
@@ -264,17 +265,20 @@ def _require(ok, message):
 
 def check_operator_properties(rs, path):
     """Root-operator identities at one integral path; raises AssertionError."""
-    _require(P.is_integral(rs, path), "closure lost integrality")
+    try:  # one column per node, read by every operator at that node
+        cols = {i: P.column(path, i) for i in rs.nodes}
+    except P.PathError:
+        raise AssertionError("closure lost integrality") from None
     wt = path.endpoint()
-    for i in rs.nodes:
-        eps, phi = P.eps_phi(rs, i, path)
+    for i, col in cols.items():
+        eps, phi = P.eps_phi(rs, i, path, col)
         _require(phi - eps == wt[i], "statistics do not match the weight pairing")
-        up = P.e_op(rs, i, path)
+        up = P.e_op(rs, i, path, col)
         _require((up is None) == (eps == 0), "raising disagrees with epsilon")
         if up is not None:
             _require(P.f_op(rs, i, up) == path, "lowering does not invert raising")
             _require(up.endpoint() == rs.add(wt, rs.simple_root(i)), "raising misses +alpha_i")
-        down = P.f_op(rs, i, path)
+        down = P.f_op(rs, i, path, col)
         _require((down is None) == (phi == 0), "lowering disagrees with phi")
         if down is not None:
             _require(P.e_op(rs, i, down) == path, "raising does not invert lowering")
@@ -359,6 +363,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except C.LimitError as exc:
+        print(f"limit reached: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except (C.GenerationError, DC.DecompositionError, AssertionError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -25,6 +25,10 @@ class GenerationError(RuntimeError):
     pass
 
 
+class LimitError(GenerationError):
+    """A node cap or the raise cap was hit: the input was too large, not wrong."""
+
+
 @dataclass
 class CrystalGraph:
     rs: RootSystem
@@ -53,7 +57,7 @@ def _closure(rs, seed, cap, normalizer=None):
         if pos is None:
             pos = len(nodes)
             if pos >= cap:
-                raise GenerationError(f"node cap {cap} exceeded")
+                raise LimitError(f"node cap {cap} exceeded")
             nodes.append(path)
             index[path] = pos
         return pos, shift
@@ -70,10 +74,11 @@ def _closure(rs, seed, cap, normalizer=None):
         head += 1
         path = nodes[pos]
         for i in ops:
-            if (pos, i) not in f_edges and (down := P.f_op(rs, i, path)) is not None:
+            col = None if (pos, i) in f_edges and (pos, i) in e_edges else P.column(path, i)
+            if (pos, i) not in f_edges and (down := P.f_op(rs, i, path, col)) is not None:
                 tgt, shift = f_edges[(pos, i)] = intern(down)
                 e_edges[(tgt, i)] = (pos, -shift)
-            if (pos, i) not in e_edges and (up := P.e_op(rs, i, path)) is not None:
+            if (pos, i) not in e_edges and (up := P.e_op(rs, i, path, col)) is not None:
                 tgt, shift = e_edges[(pos, i)] = intern(up)
                 f_edges[(tgt, i)] = (pos, -shift)
     return CrystalGraph(rs, nodes, index, f_edges, e_edges)
@@ -137,7 +142,7 @@ def level_zero_cached(rs: RootSystem, lam: Weight, cap: int = NODE_CAP) -> Cryst
     if len(graph) > cap:
         # a hit built under a larger cap; generation is deterministic, so a
         # fresh build under this cap would fail
-        raise GenerationError(f"node cap {cap} exceeded")
+        raise LimitError(f"node cap {cap} exceeded")
     return graph
 
 

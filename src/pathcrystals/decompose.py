@@ -33,6 +33,7 @@ from .characters import (
 from .crystals import (
     NODE_CAP,
     CrystalGraph,
+    LimitError,
     classically_highest,
     degree,
     level_zero_cached,
@@ -116,7 +117,7 @@ def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
             tops[p] = (top, steps)
             steps += 1
         if tops[pos][1] >= raise_cap:
-            raise DecompositionError("raising exceeded the step cap")
+            raise LimitError("raising exceeded the step cap")
         buckets.setdefault(top, []).append(pos)
     if keys is None:
         keys = node_keys(rs, graph)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import paths as P
 from .characters import Character, demazure_operator, restrict_hd
-from .crystals import NODE_CAP, CrystalGraph, GenerationError
+from .crystals import NODE_CAP, CrystalGraph, GenerationError, LimitError
 from .rootdata import RootSystem, Weight
 
 
@@ -73,7 +73,7 @@ def f_string_closure(rs: RootSystem, paths, i: int, cap: int = NODE_CAP):
                 break
             out[cur] = None
             if len(out) > cap:
-                raise GenerationError(f"node cap {cap} exceeded")
+                raise LimitError(f"node cap {cap} exceeded")
     return list(out)
 
 
@@ -101,16 +101,18 @@ def demazure_graph(spec: DemazureSpec, cap: int = NODE_CAP) -> CrystalGraph:
     index = {p: k for k, p in enumerate(nodes)}
     f_edges = {}
     e_edges = {}
+    raised = []
     for pos, path in enumerate(nodes):
         for i in rs.nodes:
-            tgt = index.get(P.f_op(rs, i, path))
+            col = P.column(path, i)
+            tgt = index.get(P.f_op(rs, i, path, col))
             if tgt is not None:
                 f_edges[(pos, i)] = (tgt, 0)
                 e_edges[(tgt, i)] = (pos, 0)
-    for pos, path in enumerate(nodes):
-        for i in rs.nodes:
-            if (pos, i) not in e_edges and P.eps_phi(rs, i, path)[0] > 0:
-                raise GenerationError("raising left the Demazure node set")
+            if P.eps_phi(rs, i, path, col)[0] > 0:
+                raised.append((pos, i))
+    if any(key not in e_edges for key in raised):
+        raise GenerationError("raising left the Demazure node set")
     return CrystalGraph(rs, list(nodes), index, f_edges, e_edges)
 
 
@@ -142,7 +144,7 @@ def block_char(rs: RootSystem, level: int, mu, m: int, cap: int = NODE_CAP) -> C
     ch = _block_char(rs, level, tuple(mu), m)
     mass = ch.mass()
     if mass > cap and mass > 1:
-        raise GenerationError(f"node cap {cap} exceeded")
+        raise LimitError(f"node cap {cap} exceeded")
     return Character(ch)
 
 

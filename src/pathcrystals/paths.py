@@ -8,10 +8,11 @@ forms agree (zero-length segments dropped, equal adjacent directions
 merged, times reduced), which makes paths hashable and crystal generation a
 plain set closure.
 
-A path stores nothing beyond its expression.  Each root operator computes
-the one column it reads, once per call: ``scale`` times H_i at every vertex,
-in one pass over the segments.  So the operators compare integers and test
-integrality as ``v % scale == 0``.  A level crossing strictly inside a
+A path stores nothing beyond its expression.  Each root operator at node i
+reads one column, ``scale`` times H_i at every vertex (:func:`column`, one
+pass over the segments), which a caller running several operators on one
+(path, i) builds once and passes in.  So the operators compare integers
+and test integrality as ``v % scale == 0``.  A level crossing strictly inside a
 segment is made a breakpoint by rescaling the whole path, so all arithmetic
 stays exact; no tolerances appear anywhere.  Directions may have fractional
 entries, in which case the numerators are fractions and the same code runs
@@ -168,7 +169,8 @@ def is_integral(rs: RootSystem, path: Path) -> bool:
     return all(_axis_integral(_column(path, i), scale) for i in rs.nodes)
 
 
-def _integral_column(path: Path, i: int):
+def column(path: Path, i: int) -> list:
+    """The column the operators at node i read; raises PathError unless H_i is integral."""
     col = _column(path, i)
     if not _axis_integral(col, path.ts[-1]):
         raise PathError(f"path is not integral along node {i}")
@@ -198,8 +200,10 @@ def _crossing(path: Path, col: list, k: int, level, i: int):
 
 
 def _reflected(rs: RootSystem, path: Path, i: int, g: int, a, b) -> Path:
-    """Copy ``path``, times scaled by g, with the stretch (a, b] reflected
-    by s_i; one pass over the segments."""
+    """``path``, times scaled by g, with the stretch (a, b] reflected by s_i,
+    in canonical form and in one pass: the path is canonical, a < b and s_i
+    is injective, so no piece is empty and neighbours can merge only at a, b."""
+    alpha = rs.simple_root(i, cl=rs.is_cl(path.dirs[0]))
     dirs = []
     ts = []
     prev = 0
@@ -207,20 +211,30 @@ def _reflected(rs: RootSystem, path: Path, i: int, g: int, a, b) -> Path:
         t *= g
         if prev < a:
             dirs.append(mu)
-            ts.append(min(t, a))
+            ts.append(t if t < a else a)
         if t > a and prev < b:
-            dirs.append(rs.reflect(i, mu))
-            ts.append(min(t, b))
+            c = mu[i]  # s_i as rs.reflect computes it, with alpha_i read once
+            nu = (tuple([x - c * y for x, y in zip(mu, alpha)]) if c and type(c) is int
+                  else rs.reflect(i, mu))
+            if prev > a or not dirs or dirs[-1] != nu:  # else continue the prefix
+                dirs.append(nu)
+                ts.append(0)
+            ts[-1] = t if t < b else b
         if t > b:
-            dirs.append(mu)
-            ts.append(t)
+            if prev > b or dirs[-1] != mu:  # else continue the stretch
+                dirs.append(mu)
+                ts.append(0)
+            ts[-1] = t
         prev = t
-    return _canonical(dirs, ts)
+    d = gcd(*ts)
+    if d > 1:
+        ts = [t // d for t in ts]
+    return Path(tuple(dirs), tuple(ts))
 
 
-def e_op(rs: RootSystem, i: int, path: Path):
+def e_op(rs: RootSystem, i: int, path: Path, col=None):
     """Raising root operator; None when the minimum of H_i is 0."""
-    col = _integral_column(path, i)
+    col = column(path, i) if col is None else col
     m = min(col)
     if m >= 0:
         return None
@@ -234,9 +248,9 @@ def e_op(rs: RootSystem, i: int, path: Path):
     return _reflected(rs, path, i, g, t0, _time(path, k1) * g)
 
 
-def f_op(rs: RootSystem, i: int, path: Path):
+def f_op(rs: RootSystem, i: int, path: Path, col=None):
     """Lowering root operator; None when H_i(1) equals the minimum."""
-    col = _integral_column(path, i)
+    col = column(path, i) if col is None else col
     m = min(col)
     level = m + path.ts[-1]
     if col[-1] < level:
@@ -250,9 +264,9 @@ def f_op(rs: RootSystem, i: int, path: Path):
     return _reflected(rs, path, i, g, _time(path, k0) * g, t1)
 
 
-def eps_phi(rs: RootSystem, i: int, path: Path):
+def eps_phi(rs: RootSystem, i: int, path: Path, col=None):
     """(number of applicable raisings, number of applicable lowerings)."""
-    col = _integral_column(path, i)
+    col = column(path, i) if col is None else col
     scale = path.ts[-1]
     m = min(col)
     phi = col[-1] - m

@@ -5,7 +5,7 @@ few weight, character and crystal readings."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from pathcrystals import decompose as DC
 from pathcrystals import paths as P
@@ -51,6 +51,53 @@ def make_path(dirs, sigmas) -> P.Path:
     scale = lcm(*(s.denominator for s in fracs))
     ts = [s.numerator * (scale // s.denominator) for s in fracs]
     return P._canonical(out_dirs, ts)
+
+
+def two_pass_canonical(dirs, ts) -> P.Path:
+    """Drop empty segments, merge equal neighbours and reduce the times.
+
+    ``dirs`` must be normalized and ``ts`` nondecreasing nonnegative ints.
+    """
+    out_dirs = []
+    out_ts = []
+    prev = 0
+    for mu, t in zip(dirs, ts):
+        if t == prev:
+            continue
+        if out_dirs and out_dirs[-1] == mu:
+            out_ts[-1] = t
+        else:
+            out_dirs.append(mu)
+            out_ts.append(t)
+        prev = t
+    if not out_dirs:
+        raise P.PathError("empty path expression")
+    g = gcd(*out_ts)
+    if g > 1:
+        out_ts = [t // g for t in out_ts]
+    return P.Path(tuple(out_dirs), tuple(out_ts))
+
+
+def two_pass_reflected(rs, path: P.Path, i: int, g: int, a, b) -> P.Path:
+    """The reflection that ``paths._reflected`` replaced: copy ``path``,
+    times scaled by g, with the stretch (a, b] reflected by s_i, then
+    canonicalize the copy in a second pass."""
+    dirs = []
+    ts = []
+    prev = 0
+    for mu, t in zip(path.dirs, path.ts):
+        t *= g
+        if prev < a:
+            dirs.append(mu)
+            ts.append(min(t, a))
+        if t > a and prev < b:
+            dirs.append(rs.reflect(i, mu))
+            ts.append(min(t, b))
+        if t > b:
+            dirs.append(mu)
+            ts.append(t)
+        prev = t
+    return two_pass_canonical(dirs, ts)
 
 
 def sigmas(path: P.Path) -> tuple:

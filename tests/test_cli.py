@@ -128,7 +128,7 @@ def test_selftest_checks_survive_python_O():
     # with lowering sabotaged, selftest must fail even when asserts are stripped
     code = (
         "import sys; from pathcrystals import cli, paths; "
-        "paths.f_op = lambda rs, i, path: None; "
+        "paths.f_op = lambda rs, i, path, col=None: None; "
         "sys.exit(cli.main(['selftest', '--type', 'A', '--rank', '2']))"
     )
     proc = subprocess.run(
@@ -158,20 +158,20 @@ def test_config_errors_exit_one(capsys):
     assert code == 1
 
 
-def test_cap_exceeded_exits_two(capsys):
+def test_cap_exceeded_exits_three(capsys):
     code, _, err = run(
         capsys,
         ["crystal", "--type", "C", "--rank", "2", "--weight", "1,1", "--node-cap", "5"],
     )
-    assert code == 2
+    assert code == 3
 
 
 def test_filtration_honours_the_node_cap(capsys):
     capped = ["filtration", "--type", "C", "--rank", "2", "--weight", "2,1", "--node-cap", "1"]
-    for argv, want in [(capped, 2), (capped[:-2], 0), (capped, 2)]:
+    for argv, want in [(capped, 3), (capped[:-2], 0), (capped, 3)]:
         code, _, err = run(capsys, argv)
         assert code == want
-        assert ("node cap 1 exceeded" in err) == (want == 2)
+        assert ("node cap 1 exceeded" in err) == (want == 3)
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify"])
@@ -179,7 +179,7 @@ def test_raise_cap_bounds_the_longest_raising_chain(capsys, command):
     # the longest raising chain of G2 (0,3) has 27 steps
     argv = [command, "--type", "G", "--rank", "2", "--weight", "0,3", "--raise-cap"]
     code, _, err = run(capsys, argv + ["27"])
-    assert code == 2 and "raising exceeded the step cap" in err
+    assert code == 3 and "raising exceeded the step cap" in err
     code, _, err = run(capsys, argv + ["28"])
     assert code == 0 and err == ""
 
@@ -351,6 +351,17 @@ def _dumped(obj):
     return "".join(chunks), len(chunks)
 
 
+def _assert_same_text(got, want, label="output"):
+    """Fail naming the first differing offset, with the 80 characters around
+    it on each side, so that neither pytest nor Hypothesis diffs long texts."""
+    if got == want:
+        return
+    k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(0, k - 40)
+    raise AssertionError(f"{label}: texts of lengths {len(got)} and {len(want)} first differ "
+                         f"at offset {k}: got {got[lo:lo + 80]!r}, want {want[lo:lo + 80]!r}")
+
+
 _TEXT = st.text() | st.text(alphabet=st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\U0001d11e'))
 _LEAF = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | _TEXT)
 _TREE = st.recursive(
@@ -365,13 +376,13 @@ _TREE = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_TREE)
 def test_dump_matches_json_dumps(tree):
-    assert _dumped(tree)[0] == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+    _assert_same_text(_dumped(tree)[0], json.dumps(tree, indent=2, sort_keys=True) + "\n")
 
 
 def test_dump_writes_a_large_payload_in_several_chunks():
     payload = {"rows": [{"id": k, "name": f"n{k}", "seen": k % 3 == 0} for k in range(3000)]}
     text, writes = _dumped(payload)
-    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _assert_same_text(text, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     assert writes > 1
 
 
@@ -389,4 +400,4 @@ def test_dump_round_trips_every_json_golden():
     assert len(json_cases) >= 10
     for case_id in json_cases:
         text = (GOLDEN / f"{case_id}.out").read_text()
-        assert _dumped(json.loads(text))[0] == text, case_id
+        _assert_same_text(_dumped(json.loads(text))[0], text, case_id)

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,9 @@ from conftest import (
     sweep_weights,
     two_call_closure,
 )
+from pathcrystals import cli
 from pathcrystals import crystals as C
+from pathcrystals import demazure as DZ
 from pathcrystals import paths as P
 from pathcrystals.rootdata import normalize_weight, root_system
 
@@ -262,8 +266,8 @@ def test_closure_finds_each_edge_once(monkeypatch):
     def counted(name):
         op = getattr(P, name)
 
-        def call(rs, i, path):
-            out = op(rs, i, path)
+        def call(rs, i, path, col=None):
+            out = op(rs, i, path, col)
             if out is not None:
                 calls.append((name, path, i))
             return out
@@ -283,6 +287,71 @@ def test_closure_finds_each_edge_once(monkeypatch):
             found.append((pos, i) if name == "f_op" else (graph.e_edges[(pos, i)][0], i))
         assert len(found) == len(set(found))
         assert set(found) == set(graph.f_edges)
+
+
+def test_one_pass_reflection_matches_the_two_pass_reference(monkeypatch):
+    # every reflection the operators make on the sweep and the large
+    # crystals, against the copy-then-canonicalize code it replaced; an
+    # operator gives the same result with the column passed in as without
+    one_pass = P._reflected
+    calls = []
+
+    def checked(rs, path, i, g, a, b):
+        got = one_pass(rs, path, i, g, a, b)
+        want = H.two_pass_reflected(rs, path, i, g, a, b)
+        if got.dirs != want.dirs or got.ts != want.ts:
+            raise AssertionError(f"{path!r} at node {i}, (g, a, b) = {(g, a, b)}: "
+                                 f"{got!r} != {want!r}")
+        calls.append(i)
+        return got
+
+    monkeypatch.setattr(P, "_reflected", checked)
+    for letter, rank, coeffs in sweep_weights() + LARGE_WEIGHTS:
+        rs = root_system(letter, rank)
+        for path in C.level_zero_cached(rs, rs.weight_of(coeffs)).nodes:
+            for i in rs.nodes:
+                col = P.column(path, i)
+                assert P.eps_phi(rs, i, path, col) == P.eps_phi(rs, i, path)
+                assert P.e_op(rs, i, path, col) == P.e_op(rs, i, path)
+                assert P.f_op(rs, i, path, col) == P.f_op(rs, i, path)
+    assert len(calls) > 10**4
+
+
+def test_each_column_is_built_once_per_path_and_node(monkeypatch):
+    # _closure, check_operator_properties and demazure_graph hand one column
+    # to every operator they run on a (path, node) pair
+    counts = Counter()
+    column = P.column
+
+    def counted(path, i):
+        counts[(path, i)] += 1
+        return column(path, i)
+
+    def assert_once():
+        assert counts and max(counts.values()) == 1
+        counts.clear()
+
+    def nodes_then_count(spec, cap):
+        # count the edge pass only: the string closures run f_op on their own
+        nodes = node_set(spec, cap)
+        counts.clear()
+        return nodes
+
+    node_set = DZ.demazure_crystal
+    monkeypatch.setattr(P, "column", counted)
+    monkeypatch.setattr(DZ, "demazure_crystal", nodes_then_count)
+    for letter, rank, coeffs in [("C", 2, (1, 1)), ("G", 2, (0, 2)), ("B", 3, (1, 0, 1))]:
+        rs = root_system(letter, rank)
+        C.generate_level_zero(rs, rs.weight_of(coeffs))
+        assert_once()
+        DZ.demazure_graph(DZ.demazure_params(rs, 1, coeffs, 0))
+        assert_once()
+        rng = random.Random(7)
+        for _ in range(20):
+            path = cli.random_integral_path(rs, rng)
+            counts.clear()
+            cli.check_operator_properties(rs, path)
+            assert_once()
 
 
 def test_shift_matches_a_path_built_from_scratch():
