@@ -18,7 +18,7 @@ from functools import lru_cache
 from .rootdata import RootSystem, Weight, normalize_entry, normalize_weight
 
 
-class CharacterError(ValueError):
+class CharacterError(RuntimeError):
     pass
 
 
@@ -106,20 +106,11 @@ def hd_delta(key):
 
 # -- lattice predicates ------------------------------------------------------
 
-def _alpha_numerators_diff(rs: RootSystem, lam_finite, key_finite):
-    return rs.alpha_numerators([a - b for a, b in zip(lam_finite, key_finite, strict=True)])
-
-
-def in_q_plus(rs: RootSystem, lam_finite, key_finite) -> bool:
-    """lam - key is a nonnegative integer sum of simple roots."""
-    den = rs.alpha_den
-    return all(v >= 0 and v % den == 0 for v in _alpha_numerators_diff(rs, lam_finite, key_finite))
-
-
 def in_q_plus_short(rs: RootSystem, lam_finite, key_finite) -> bool:
     """lam - key is a nonnegative integer sum of short simple roots."""
     den = rs.alpha_den
-    for node, v in zip(rs.finite_nodes, _alpha_numerators_diff(rs, lam_finite, key_finite)):
+    diff = [a - b for a, b in zip(lam_finite, key_finite, strict=True)]
+    for node, v in zip(rs.finite_nodes, rs.alpha_numerators(diff)):
         if node in rs.short_nodes:
             if v < 0 or v % den:
                 return False
@@ -195,16 +186,10 @@ def finite_char(rs: RootSystem, mu_coeffs: tuple) -> Character:
 
 def hd_height(rs: RootSystem, key):
     """Height of the finite part minus the grading.  It strictly increases
-    along dominance_leq, so a key that maximises it is maximal."""
+    up the dominance order (one key lies below another when their finite
+    parts differ by Q_+ and its grading is at least the other's), so a key
+    that maximises it is maximal."""
     return rs.height(hd_finite_part(key)) - hd_delta(key)
-
-
-def dominance_leq(rs: RootSystem, key1, key2) -> bool:
-    """key1 precedes key2: finite parts differ by Q_+ and the grading of
-    key1 is at least that of key2."""
-    return hd_delta(key1) >= hd_delta(key2) and in_q_plus(
-        rs, hd_finite_part(key2), hd_finite_part(key1)
-    )
 
 
 def peel_demazure(rs: RootSystem, ch: Character, char_of) -> list:
@@ -213,7 +198,7 @@ def peel_demazure(rs: RootSystem, ch: Character, char_of) -> list:
 
     ``char_of(nu_coeffs, m)`` must return the restricted character of the
     block with top key ``nu + m delta``: coefficient 1 there and support
-    below it in ``dominance_leq``.  That makes the blocks unitriangular, so a
+    below it in the dominance order.  That makes the blocks unitriangular, so a
     genuine input has exactly one expansion, and any maximal support key of
     the residue is a block top whose multiplicity is its coefficient.  The
     loop strips a key of greatest ``hd_height``, which is maximal; a

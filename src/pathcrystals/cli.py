@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from . import crystals as C
 from . import decompose as DC
 from . import paths as P
-from .characters import char_to_json
+from .characters import CharacterError, char_to_json
 from .demazure import demazure_character, demazure_graph, demazure_params
 from .rootdata import RootDataError, root_system
 
@@ -180,7 +180,7 @@ def cmd_decompose(args):
     rs = _root_system(args)
     coeffs = _parse_weight(rs, args.weight)
     graph = C.generate_level_zero(rs, rs.weight_of(coeffs), args.node_cap)
-    image = DC.decompose_tensor_image(rs, graph, args.raise_cap)
+    image = DC.decompose_tensor_image(rs, graph, args.raise_cap, cap=args.node_cap)
     payload = {
         "components": [
             {"mu": list(comp.mu_coeffs), "n": comp.n, "size": len(comp.members)}
@@ -366,7 +366,8 @@ def main(argv=None) -> int:
     except C.LimitError as exc:
         print(f"limit reached: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (C.GenerationError, DC.DecompositionError, AssertionError) as exc:
+    except (C.GenerationError, DC.DecompositionError, CharacterError, P.PathError,
+            AssertionError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 

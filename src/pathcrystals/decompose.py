@@ -4,9 +4,9 @@ Route (a) sums the full-lattice weights over the finite level-zero crystal.
 Route (b) peels the level-one block character of the short subsystem into
 level-r blocks and transports them back through the splitting.  Route (c)
 concatenates the basic highest path onto every crystal element, follows the
-crystal's recorded raising edges to its component's top, and reads the top
-key.  The headline checks are (a) = (b) as characters and (b) = (c) as
-multisets.
+crystal's recorded raising edges to its component's top, and requires each
+component's key sum to be the level-one block named by its top key.  The
+headline checks are (a) = (b) as characters and (b) = (c) as multisets.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from fractions import Fraction
 from .characters import (
     Character,
     char_sum,
-    dominance_leq,
     decompose_hd,
     finite_key,
     hd_below_short,
@@ -92,15 +91,20 @@ class DemazureImage:
 def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
                            raise_cap: int = RAISE_CAP,
                            Lambda: Weight | None = None,
-                           keys: list | None = None) -> DemazureImage:
+                           keys: list | None = None,
+                           cap: int = NODE_CAP) -> DemazureImage:
     """Group the concatenations of the highest straight path of ``Lambda``
     with every element of the level-zero crystal ``graph`` by their
     component's top, reached by walking :func:`_raised`; an element that
-    needs ``raise_cap`` or more raisings is an error.  Read each top's
-    (dominance-maximal) restricted key.  ``Lambda`` defaults to the basic
-    level-one weight; a positive multiple keeps every finite pairing zero,
-    which makes the top-key read meaningful.  ``keys`` are the nodes'
-    restricted keys (:func:`node_keys`) when the caller has them."""
+    needs ``raise_cap`` or more raisings is an error.  ``Lambda`` is the
+    basic level-one weight (the default) or a positive multiple of it.
+    ``keys`` are the nodes' restricted keys (:func:`node_keys`), if known.
+
+    Each component must be a Demazure crystal: its keys sum to the block of
+    ``Lambda``'s level (under the node cap ``cap``) topped by its key of
+    greatest ``hd_height``.  A block has coefficient 1 at its top and support
+    below it in the dominance order, so the top key is unique and maximal.
+    """
     if Lambda is None:
         Lambda = rs.fundamental(0)
     if any(Lambda[i] != 0 for i in rs.finite_nodes) or Lambda[0] < 1 or Lambda[-1] != 0:
@@ -123,15 +127,16 @@ def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
         keys = node_keys(rs, graph)
     components = []
     for top, members in buckets.items():
-        member_keys = [keys[pos] for pos in members]
-        top_key = max(member_keys, key=lambda k: hd_height(rs, k))
-        if member_keys.count(top_key) != 1 or not all(
-                dominance_leq(rs, k, top_key) for k in member_keys):
-            raise DecompositionError(f"component top key {top_key} is not unique")
-        mu = hd_finite_part(top_key)
+        summed = Character(Counter(keys[pos] for pos in members))
+        top_key = max(summed, key=lambda k: hd_height(rs, k))
+        mu, n = hd_finite_part(top_key), int(hd_delta(top_key))
         if any(c < 0 for c in mu):
             raise DecompositionError(f"component top {top_key} is not dominant")
-        components.append(Component(tuple(mu), int(hd_delta(top_key)), members, top))
+        diff = summed.added(block_char(rs, Lambda[0], mu, n, cap), -1)
+        if diff:
+            raise DecompositionError(f"component {(mu, n)} differs from its block: "
+                                     f"keys - block = {diff}")
+        components.append(Component(mu, n, members, top))
     return DemazureImage(graph, components)
 
 
@@ -197,6 +202,15 @@ def filtration_char(rs: RootSystem, filtration, cap: int = NODE_CAP) -> Characte
     return char_sum(block_char(rs, 1, mu, m, cap).scaled(mult) for mu, m, mult in filtration)
 
 
+def _short_projection_difference(rs: RootSystem, lam: Weight, full: Character,
+                                 level: int, m: int, cap: int) -> Character:
+    """The part of ``full`` supported below lam along short roots, minus the
+    transported level-``level`` short block at shift ``m``."""
+    lhs = full.projected(hd_below_short(rs, lam))
+    short = block_char(rs.short_system(), level, lam_bar_coeffs(rs, lam), m, cap)
+    return lhs.added(i_sh_char(rs, short).shifted(hd_key(rs, lam_prime(rs, lam))), -1)
+
+
 def short_restriction_identity(rs: RootSystem, lam: Weight, a_char: Character,
                                cap: int = NODE_CAP):
     """Both short-projection identities, reported as (ok, detail lines).
@@ -207,11 +221,9 @@ def short_restriction_identity(rs: RootSystem, lam: Weight, a_char: Character,
     block character equals the transported level-r short block character.
     """
     lines = []
-    lhs = a_char.projected(hd_below_short(rs, lam))
-    short_char = block_char(rs.short_system(), 1, lam_bar_coeffs(rs, lam), 0, cap)
-    rhs = i_sh_char(rs, short_char).shifted(hd_key(rs, lam_prime(rs, lam)))
-    if lhs != rhs:
-        lines.append(f"path-side projection differs: {lhs.added(rhs, -1)}")
+    diff = _short_projection_difference(rs, lam, a_char, 1, 0, cap)
+    if diff:
+        lines.append(f"path-side projection differs: {diff}")
     diff = short_demazure_identity(rs, lam, 0, cap)
     if diff:
         lines.append(f"block projection differs: {diff}")
@@ -223,10 +235,7 @@ def short_demazure_identity(rs: RootSystem, lam: Weight, m: int,
     """Projection identity for the level-one block at an arbitrary shift: the
     difference of its two sides, empty exactly when the identity holds."""
     full = block_char(rs, 1, finite_key(rs, lam), m, cap)
-    lhs = full.projected(hd_below_short(rs, lam))
-    short = block_char(rs.short_system(), rs.r, lam_bar_coeffs(rs, lam), m, cap)
-    rhs = i_sh_char(rs, short).shifted(hd_key(rs, lam_prime(rs, lam)))
-    return lhs.added(rhs, -1)
+    return _short_projection_difference(rs, lam, full, rs.r, m, cap)
 
 
 # -- the full verification report ---------------------------------------------
@@ -255,7 +264,7 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
     filtration = weyl_filtration_multiset(rs, lam, cap)
     b_char = filtration_char(rs, filtration, cap)
 
-    image = decompose_tensor_image(rs, graph, raise_cap, keys=keys)
+    image = decompose_tensor_image(rs, graph, raise_cap, keys=keys, cap=cap)
     b_multiset = sorted(
         (mu, m) for mu, m, mult in filtration for _ in range(mult)
     )

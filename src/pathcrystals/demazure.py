@@ -56,14 +56,15 @@ def demazure_params(rs: RootSystem, level: int, lam_coeffs, m: int = 0) -> Demaz
     return spec
 
 
-def f_string_closure(rs: RootSystem, paths, i: int, cap: int = NODE_CAP):
+def f_string_closure(rs: RootSystem, paths, i: int, cap: int = NODE_CAP, walked=None):
     """Close an ordered node set under the full lowering string at one node.
 
     A walk stops at a node an earlier walk passed, whose string below is in
     already; the node order and the point where the cap trips do not change.
+    ``walked``, updated in place, may hold the nodes walked under ``i`` before.
     """
     out = dict.fromkeys(paths)
-    walked = set()
+    walked = set() if walked is None else walked
     for path in paths:
         cur = path
         while cur not in walked:
@@ -79,10 +80,12 @@ def f_string_closure(rs: RootSystem, paths, i: int, cap: int = NODE_CAP):
 
 def demazure_crystal_for_word(rs: RootSystem, Lambda: Weight, word, cap: int = NODE_CAP):
     """Node set grown from the straight highest path by string closures,
-    applied along the word from the innermost letter outwards."""
+    applied along the word from the innermost letter outwards.  The set only
+    grows, so one walked set per node i serves every letter i."""
     nodes = [P.straight(Lambda)]
+    walked = {i: set() for i in set(word)}
     for i in reversed(word):
-        nodes = f_string_closure(rs, nodes, i, cap)
+        nodes = f_string_closure(rs, nodes, i, cap, walked[i])
     return nodes
 
 

@@ -28,7 +28,7 @@ from operator import mul
 from .rootdata import RootSystem, Weight, normalize_weight
 
 
-class PathError(ValueError):
+class PathError(RuntimeError):
     pass
 
 

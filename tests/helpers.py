@@ -1,6 +1,6 @@
 """Tools the tests share that the program itself never calls: paths built
-from fractional breakpoints and read pointwise, crystal reflections, and a
-few weight, character and crystal readings."""
+from fractional breakpoints and read pointwise, crystal reflections, the
+dominance order, and a few weight, character and crystal readings."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from math import gcd, lcm
 
 from pathcrystals import decompose as DC
 from pathcrystals import paths as P
-from pathcrystals.characters import Character
+from pathcrystals.characters import Character, hd_delta, hd_finite_part
 from pathcrystals.rootdata import normalize_entry, normalize_weight
 
 # -- weights and characters ------------------------------------------------
@@ -27,6 +27,21 @@ def convolved(a: Character, b: Character) -> Character:
             k = tuple(normalize_entry(x + y) for x, y in zip(k1, k2, strict=True))
             out.add_term(k, v1 * v2)
     return out
+
+
+def in_q_plus(rs, lam_finite, key_finite) -> bool:
+    """lam - key is a nonnegative integer sum of simple roots."""
+    den = rs.alpha_den
+    diff = [a - b for a, b in zip(lam_finite, key_finite, strict=True)]
+    return all(v >= 0 and v % den == 0 for v in rs.alpha_numerators(diff))
+
+
+def dominance_leq(rs, key1, key2) -> bool:
+    """key1 precedes key2: finite parts differ by Q_+ and the grading of
+    key1 is at least that of key2."""
+    return hd_delta(key1) >= hd_delta(key2) and in_q_plus(
+        rs, hd_finite_part(key2), hd_finite_part(key1)
+    )
 
 
 # -- paths -----------------------------------------------------------------

@@ -58,6 +58,17 @@ def test_verify_failure_prints_details_on_stderr(capsys, monkeypatch):
     assert "verify [1, 0]: path-side projection differs: {" in err
 
 
+def test_a_failed_peel_exits_two(capsys, monkeypatch):
+    # doubled level-2 blocks leave a negative residue in the route (b) peel
+    real = DC.block_char
+    monkeypatch.setattr(DC, "block_char", lambda rs, level, mu, m, cap=D.NODE_CAP:
+                        real(rs, level, mu, m, cap).scaled(2 if level == 2 else 1))
+    code, out, err = run(capsys, ["verify", "--type", "C", "--rank", "2", "--weight", "1,0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("check failed: negative residue after stripping block")
+
+
 def _shift_first_component(real):
     def patched(*args, **kwargs):
         image = real(*args, **kwargs)

@@ -127,14 +127,14 @@ def test_degrees_nonpositive_and_zero_at_seed():
 
 
 def test_weight_confinement():
-    from pathcrystals.characters import finite_key, in_q_plus
+    from pathcrystals.characters import finite_key
 
     for rs, coeffs in [(A2, (1, 1)), (C2, (2, 0))]:
         lam = rs.weight_of(coeffs)
         g = C.generate_level_zero(rs, lam)
         lam_f = finite_key(rs, lam)
         for path in g.nodes:
-            assert in_q_plus(rs, lam_f, finite_key(rs, path.endpoint()))
+            assert H.in_q_plus(rs, lam_f, finite_key(rs, path.endpoint()))
 
 
 def test_anchored_initial_directions():

@@ -605,7 +605,7 @@ def _decompose_hd_pairwise(rs, ch):
         while residue:
             keys = sorted(residue)
             maximal = [
-                k for k in keys if not any(k2 != k and CH.in_q_plus(rs, k2, k) for k2 in keys)
+                k for k in keys if not any(k2 != k and H.in_q_plus(rs, k2, k) for k2 in keys)
             ]
             top = maximal[-1]
             mult = residue[top]
@@ -616,7 +616,7 @@ def _decompose_hd_pairwise(rs, ch):
 
 def _pairwise_top_key(rs, keys):
     """The key of a component that dominates all of them, by pairwise scan."""
-    maxima = [k for k in set(keys) if all(CH.dominance_leq(rs, k2, k) for k2 in keys)]
+    maxima = [k for k in set(keys) if all(H.dominance_leq(rs, k2, k) for k2 in keys)]
     assert len(maxima) == 1 and keys.count(maxima[0]) == 1
     return maxima[0]
 
@@ -637,5 +637,29 @@ def test_argmax_picks_match_pairwise_scans(rs, coeffs):
 def test_tensor_image_rejects_a_repeated_top_key(monkeypatch):
     # every element reads the same key, so no component top occurs exactly once
     monkeypatch.setattr(DC, "hd_key", lambda rs, x: (0, 0, 0))
-    with pytest.raises(DC.DecompositionError, match="not unique"):
+    with pytest.raises(DC.DecompositionError,
+                       match=r"component \(\(0, 0\), 0\) differs from its block: "
+                             r"keys - block = \{\(0, 0, 0\): 3\}"):
         DC.decompose_tensor_image(C2, C.generate_level_zero(C2, C2.weight_of((1, 0))))
+
+
+def test_tensor_image_rejects_a_member_moved_between_components(monkeypatch):
+    # C2 (2,0) has two components: ((2,0),0) with top 1 and ((0,1),1) with
+    # top 15.  Raising position 4 straight to position 1 moves it, and
+    # position 9 that raises through it, into the first component.
+    graph = C.generate_level_zero(C2, C2.weight_of((2, 0)))
+    first, second = DC.decompose_tensor_image(C2, graph).components
+    assert (first.mu_coeffs, first.n, first.top) == ((2, 0), 0, 1)
+    assert (second.mu_coeffs, second.n, second.top) == ((0, 1), 1, 15)
+    assert {4, 9} <= set(second.members)
+    # the per-member dominance scan accepts both below the first top, and
+    # leaves that top unique
+    keys = DC.node_keys(C2, graph)
+    assert all(H.dominance_leq(C2, keys[p], keys[1]) and keys[p] != keys[1] for p in (4, 9))
+    real = DC._raised
+    monkeypatch.setattr(DC, "_raised", lambda rs, Lambda, graph, pos:
+                        1 if pos == 4 else real(rs, Lambda, graph, pos))
+    with pytest.raises(DC.DecompositionError,
+                       match=r"component \(\(2, 0\), 0\) differs from its block: "
+                             r"keys - block = \{\(-2, 1, 1\): 1, \(0, -1, 1\): 1\}"):
+        DC.decompose_tensor_image(C2, graph)

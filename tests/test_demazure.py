@@ -4,10 +4,11 @@ import random
 import pytest
 
 from conftest import LARGE_WEIGHTS, sweep_weights
+from helpers import dominance_leq
 from pathcrystals import decompose as DC
 from pathcrystals import demazure as D
 from pathcrystals import paths as P
-from pathcrystals.characters import Character, dominance_leq, finite_char, hd_key
+from pathcrystals.characters import Character, finite_char, hd_key
 from pathcrystals.crystals import NODE_CAP, GenerationError
 from pathcrystals.demazure import (
     DemazureSpec,
@@ -341,3 +342,29 @@ def test_block_char_calls_no_path_operator(monkeypatch):
     D._block_char.cache_clear()
     assert block_char(G2, 2, (1, 1), 1).mass() > 1
     assert block_char(C2, 1, (2, 1), 0).mass() > 1
+
+
+@pytest.mark.parametrize("letter,rank,coeffs,walks", [
+    ("A", 4, (1, 1, 1, 1), 6475),
+    ("F", 4, (0, 0, 1, 0), 1129),
+    ("D", 4, (1, 0, 1, 1), 1592),
+], ids=["A4", "F4", "D4"])
+def test_word_closure_lowers_each_node_once_per_letter_node(monkeypatch, letter, rank,
+                                                            coeffs, walks):
+    rs = root_system(letter, rank)
+    spec = demazure_params(rs, 1, coeffs)
+    # the closure of each letter on its own, walking again what an earlier
+    # letter with the same node walked
+    want = [P.straight(spec.Lambda)]
+    for i in reversed(spec.word):
+        want = f_string_closure(rs, want, i)
+    real = P.f_op
+    calls = []
+
+    def counted(rs, i, path, col=None):
+        calls.append((path, i))
+        return real(rs, i, path, col)
+
+    monkeypatch.setattr(P, "f_op", counted)
+    assert demazure_crystal(spec) == want
+    assert len(calls) == len(set(calls)) == walks
