@@ -128,8 +128,8 @@ def _dump(obj, write):
     write("".join(parts))
 
 
-def _emit(payload, fmt, rows=None):
-    if fmt == "tsv" and rows is not None:
+def _emit(payload, fmt, rows):
+    if fmt == "tsv":
         for row in rows:
             print("\t".join(str(v) for v in row))
     else:
@@ -150,9 +150,7 @@ def cmd_crystal(args):
             rows.append((C.node_id(path), -weight[-1], list(weight)))
         _emit(None, args.format, rows)
         return EXIT_OK
-    payload = C.graph_to_json(graph, with_degrees=True)
-    payload["size"] = len(graph)
-    _emit(payload, args.format)
+    C.graph_to_json(graph, sys.stdout.write)
     return EXIT_OK
 
 
@@ -296,7 +294,8 @@ def run_selftest(rs, seed, count=200):
 def cmd_selftest(args):
     rs = _root_system(args)
     count = run_selftest(rs, args.seed)
-    _emit({"type": f"{rs.letter}{rs.rank}", "paths": count, "ok": True}, args.format)
+    payload = {"type": f"{rs.letter}{rs.rank}", "paths": count, "ok": True}
+    _emit(payload, args.format, [tuple(payload), tuple(payload.values())])
     return EXIT_OK
 
 

@@ -173,24 +173,47 @@ def node_id(path: P.Path) -> str:
     return _id_and_breakpoints(path)[0]
 
 
-def graph_to_json(graph: CrystalGraph, with_degrees: bool = False) -> dict:
-    ids = []
-    nodes = []
-    for path in graph.nodes:
-        ident, breakpoints = _id_and_breakpoints(path)
-        ids.append(ident)
+def _int_row(row, pad: str) -> str:
+    """An int list as json indents it at ``pad``; other entries raise TypeError."""
+    return "[\n" + pad + (",\n" + pad).join(map(int.__repr__, row)) + "\n" + pad[:-2] + "]"
+
+
+def graph_to_json(graph: CrystalGraph, write) -> None:
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline in
+    chunks, record by record.  The payload holds the f-edges {node, source, target}
+    by (source, node), the nodes {degree, id, path: [{direction, sigma}], weight}
+    and the size."""
+    ids, breakpoints = zip(*map(_id_and_breakpoints, graph.nodes))
+    # each distinct direction is rendered once for all its segments
+    rows = {mu: _int_row(mu, " " * 12) for mu in {mu for p in graph.nodes for mu in p.dirs}}
+    parts = ["{"]
+
+    def put_list(key, records):
+        parts.append(f'\n  "{key}": ')
+        sep = "["
+        for rec in records:
+            parts.append(sep + "\n    {\n" + rec + "\n    }")
+            sep = ","
+            if len(parts) > 8192:
+                write("".join(parts))
+                parts.clear()
+        parts.append("[]," if sep == "[" else "\n  ],")
+
+    def node(path, ident, pairs):
         weight = path.endpoint()
-        rec = {"id": ident, "weight": list(weight),
-               "path": [{"direction": list(mu), "sigma": f"{n}/{d}"}
-                        for mu, (n, d) in zip(path.dirs, breakpoints)]}
-        if with_degrees:
-            rec["degree"] = -weight[-1]
-        nodes.append(rec)
-    edges = [
-        {"source": ids[pos], "node": i, "target": ids[tgt]}
-        for (pos, i), (tgt, _) in sorted(graph.f_edges.items())
-    ]
-    return {"nodes": nodes, "edges": edges}
+        segments = "\n        },\n        {\n".join(
+            f'          "direction": {rows[mu]},\n          "sigma": "{n}/{d}"'
+            for mu, (n, d) in zip(path.dirs, pairs))
+        return (f'      "degree": {int.__repr__(-weight[-1])},\n      "id": "{ident}",\n'
+                f'      "path": [\n        {{\n{segments}\n        }}\n      ],\n'
+                f'      "weight": {_int_row(weight, " " * 8)}')
+
+    put_list("edges", (f'      "node": {i},\n      "source": "{ids[pos]}",\n'
+                       f'      "target": "{ids[tgt]}"'
+                       for (pos, i), (tgt, _) in sorted(graph.f_edges.items())))
+    put_list("nodes", map(node, graph.nodes, ids, breakpoints))
+    parts.append(f'\n  "size": {len(graph)}\n}}\n')
+    write("".join(parts))
 
 
 def graph_to_dot(graph: CrystalGraph) -> str:

@@ -1,12 +1,14 @@
 """Tools the tests share that the program itself never calls: paths built
 from fractional breakpoints and read pointwise, crystal reflections, the
-dominance order, and a few weight, character and crystal readings."""
+dominance order, a few weight, character and crystal readings, and the
+record tree of the crystal JSON export."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
+from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
 from pathcrystals import paths as P
 from pathcrystals.characters import Character, hd_delta, hd_finite_part
@@ -223,3 +225,31 @@ def highest_candidates(rs, Lambda, graph) -> list:
     """Positions that no e_i raises after the straight path of Lambda; each
     anchored representative stands for its whole null-root shift family."""
     return [pos for pos in range(len(graph)) if DC._raised(rs, Lambda, graph, pos) is None]
+
+
+def graph_records(graph) -> dict:
+    """The crystal JSON export as a record tree, less the size: the reference
+    that the text ``crystals.graph_to_json`` writes is compared against."""
+    ids = []
+    nodes = []
+    for path in graph.nodes:
+        ident, breakpoints = C._id_and_breakpoints(path)
+        ids.append(ident)
+        weight = path.endpoint()
+        rec = {"id": ident, "weight": list(weight),
+               "path": [{"direction": list(mu), "sigma": f"{n}/{d}"}
+                        for mu, (n, d) in zip(path.dirs, breakpoints)]}
+        rec["degree"] = -weight[-1]
+        nodes.append(rec)
+    edges = [
+        {"source": ids[pos], "node": i, "target": ids[tgt]}
+        for (pos, i), (tgt, _) in sorted(graph.f_edges.items())
+    ]
+    return {"nodes": nodes, "edges": edges}
+
+
+def written_json(graph):
+    """The text ``crystals.graph_to_json`` writes, and the number of chunks."""
+    chunks = []
+    C.graph_to_json(graph, chunks.append)
+    return "".join(chunks), len(chunks)

@@ -11,10 +11,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers as H
+from conftest import EXPORT_WEIGHTS, LARGE_WEIGHTS, sweep_weights
 from pathcrystals import cli
+from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
 from pathcrystals import demazure as D
+from pathcrystals import paths as P
 from pathcrystals.characters import Character
+from pathcrystals.rootdata import root_system
 from test_golden_cli import CASES, GOLDEN
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -133,6 +138,12 @@ def test_selftest_runs(capsys):
     code, out, _ = run(capsys, ["selftest", "--type", "G", "--rank", "2", "--seed", "5"])
     assert code == 0
     assert json.loads(out)["ok"]
+
+
+def test_selftest_tsv_is_a_table(capsys):
+    code, out, _ = run(capsys, ["selftest", "--type", "A", "--rank", "1", "--format", "tsv"])
+    assert code == 0
+    assert out == "type\tpaths\tok\nA1\t200\tTrue\n"
 
 
 def test_selftest_checks_survive_python_O():
@@ -412,3 +423,37 @@ def test_dump_round_trips_every_json_golden():
     for case_id in json_cases:
         text = (GOLDEN / f"{case_id}.out").read_text()
         _assert_same_text(_dumped(json.loads(text))[0], text, case_id)
+
+
+# -- the crystal writer against json.dumps of its record tree --------------------
+
+def test_crystal_writer_matches_json_dumps_of_the_records():
+    cases = [("A", 1, (0,))] + sweep_weights() + LARGE_WEIGHTS + EXPORT_WEIGHTS
+    assert len(cases) == 108
+    for letter, rank, coeffs in cases:
+        rs = root_system(letter, rank)
+        graph = C.level_zero_cached(rs, rs.weight_of(coeffs))
+        payload = H.graph_records(graph) | {"size": len(graph)}
+        text = H.written_json(graph)[0]
+        _assert_same_text(text, json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                          f"{letter}{rank} {coeffs}")
+        if not any(coeffs):
+            assert len(graph) == 1 and '"edges": [],' in text
+
+
+def test_crystal_writer_writes_a_large_crystal_in_several_chunks():
+    rs = root_system("A", 4)
+    graph = C.level_zero_cached(rs, rs.weight_of((1, 1, 1, 1)))
+    assert H.written_json(graph)[1] > 1
+
+
+def test_crystal_writer_rejects_a_fraction_entry():
+    A1 = root_system("A", 1)
+    half = Fraction(1, 2)
+    path = P.Path(((half, 0, 0), (-half, 0, 0)), (1, 2))
+    graph = C.CrystalGraph(A1, [path], {path: 0}, {}, {})
+    assert path.endpoint() == (0, 0, 0)  # only the direction holds a Fraction
+    with pytest.raises(TypeError):
+        cli._dump(H.graph_records(graph), lambda text: None)
+    with pytest.raises(TypeError, match="Fraction"):
+        C.graph_to_json(graph, lambda text: None)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -200,7 +201,7 @@ def test_classically_highest_matches_path_statistics(any_rs):
 
 def test_exports():
     g = C.generate_level_zero(A1, A1.varpi(1))
-    payload = C.graph_to_json(g, with_degrees=True)
+    payload = json.loads(H.written_json(g)[0])
     assert len(payload["nodes"]) == 2
     assert all(rec["degree"] == 0 for rec in payload["nodes"])
     dot = C.graph_to_dot(g)
@@ -389,7 +390,7 @@ def test_export_breakpoints_match_their_fractions():
     for letter, rank, coeffs in sweep_weights():
         rs = root_system(letter, rank)
         graph = C.level_zero_cached(rs, rs.weight_of(coeffs))
-        records = C.graph_to_json(graph)["nodes"]
+        records = json.loads(H.written_json(graph)[0])["nodes"]
         for path, rec in zip(graph.nodes, records):
             sigmas = H.sigmas(path)
             blob = repr((path.dirs, tuple(str(s) for s in sigmas)))
