@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .rootdata import RootSystem, Weight, normalize_entry, normalize_weight
+from .rootdata import RootSystem, Weight, normalize_weight
 
 
 class CharacterError(RuntimeError):
@@ -56,7 +56,7 @@ class Character(dict):
 
     def shifted(self, key) -> "Character":
         return Character(
-            {tuple(normalize_entry(a + b) for a, b in zip(k, key, strict=True)): v
+            {normalize_weight([a + b for a, b in zip(k, key, strict=True)]): v
              for k, v in self.items()}
         )
 

@@ -239,16 +239,17 @@ def cmd_verify(args):
 def random_integral_path(rs, rng):
     """Concatenation of one to three random straight paths, then up to three
     random root operators; the draws from ``rng`` follow that order."""
+    randrange = rng.randrange  # randint(a, b) draws randrange(a, b + 1)
     pieces = []
-    for _ in range(rng.randint(1, 3)):
-        coeffs = [rng.randint(-2, 2) for _ in range(rs.rank)]
-        w = rs.weight_of(coeffs, delta=rng.randint(-1, 1))
+    for _ in range(randrange(1, 4)):
+        coeffs = [randrange(-2, 3) for _ in range(rs.rank)]
+        w = rs.weight_of(coeffs, delta=randrange(-1, 2))
         pieces.append(P.straight(w))
     path = pieces[0]
     for piece in pieces[1:]:
         path = P.concat(path, piece)
-    for _ in range(rng.randint(0, 3)):
-        i = rng.choice(list(rs.nodes))
+    for _ in range(randrange(0, 4)):
+        i = rng.choice(rs.nodes)
         nxt = P.f_op(rs, i, path) if rng.random() < 0.5 else P.e_op(rs, i, path)
         if nxt is not None:
             path = nxt
@@ -269,18 +270,19 @@ def check_operator_properties(rs, path):
         raise AssertionError("closure lost integrality") from None
     wt = path.endpoint()
     for i, col in cols.items():
+        alpha = rs.simple_root(i)
         eps, phi = P.eps_phi(rs, i, path, col)
         _require(phi - eps == wt[i], "statistics do not match the weight pairing")
         up = P.e_op(rs, i, path, col)
         _require((up is None) == (eps == 0), "raising disagrees with epsilon")
         if up is not None:
             _require(P.f_op(rs, i, up) == path, "lowering does not invert raising")
-            _require(up.endpoint() == rs.add(wt, rs.simple_root(i)), "raising misses +alpha_i")
+            _require(up.endpoint() == rs.add(wt, alpha), "raising misses +alpha_i")
         down = P.f_op(rs, i, path, col)
         _require((down is None) == (phi == 0), "lowering disagrees with phi")
         if down is not None:
             _require(P.e_op(rs, i, down) == path, "raising does not invert lowering")
-            _require(down.endpoint() == rs.sub(wt, rs.simple_root(i)), "lowering misses -alpha_i")
+            _require(down.endpoint() == rs.sub(wt, alpha), "lowering misses -alpha_i")
 
 
 def run_selftest(rs, seed, count=200):

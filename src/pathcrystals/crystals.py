@@ -62,11 +62,11 @@ def _closure(rs, seed, cap, normalizer=None):
             index[path] = pos
         return pos, shift
 
-    if not P.is_integral(rs, seed):
-        raise P.PathError("seed path is not integral")
     intern(seed)
     # e_i f_i = id: an edge found from one end is stored at both, with the
-    # shift negated, and an operator runs only while its edge is unknown
+    # shift negated, and an operator runs only while its edge is unknown;
+    # every column of the seed is built, so a seed that is not integral raises
+    # PathError
     ops = tuple(rs.nodes)
     head = 0
     while head < len(nodes):
@@ -74,12 +74,17 @@ def _closure(rs, seed, cap, normalizer=None):
         head += 1
         path = nodes[pos]
         for i in ops:
-            col = None if (pos, i) in f_edges and (pos, i) in e_edges else P.column(path, i)
-            if (pos, i) not in f_edges and (down := P.f_op(rs, i, path, col)) is not None:
-                tgt, shift = f_edges[(pos, i)] = intern(down)
+            key = (pos, i)
+            need_f = key not in f_edges
+            need_e = key not in e_edges
+            if not (need_f or need_e):
+                continue
+            col = P.column(path, i)
+            if need_f and (down := P.f_op(rs, i, path, col)) is not None:
+                tgt, shift = f_edges[key] = intern(down)
                 e_edges[(tgt, i)] = (pos, -shift)
-            if (pos, i) not in e_edges and (up := P.e_op(rs, i, path, col)) is not None:
-                tgt, shift = e_edges[(pos, i)] = intern(up)
+            if need_e and (up := P.e_op(rs, i, path, col)) is not None:
+                tgt, shift = e_edges[key] = intern(up)
                 f_edges[(tgt, i)] = (pos, -shift)
     return CrystalGraph(rs, nodes, index, f_edges, e_edges)
 

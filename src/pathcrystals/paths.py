@@ -10,8 +10,8 @@ plain set closure.
 
 A path stores nothing beyond its expression.  Each root operator at node i
 reads one column, ``scale`` times H_i at every vertex (:func:`column`, one
-pass over the segments), which a caller running several operators on one
-(path, i) builds once and passes in.  So the operators compare integers
+pass over the segments that also checks integrality), which a caller
+running several operators on one (path, i) builds once and passes in.  So the operators compare integers
 and test integrality as ``v % scale == 0``.  A level crossing strictly inside a
 segment is made a breakpoint by rescaling the whole path, so all arithmetic
 stays exact; no tolerances appear anywhere.  Directions may have fractional
@@ -60,8 +60,15 @@ class Path:
         return f"Path(dirs={self.dirs!r}, ts={self.ts!r})"
 
     def endpoint(self) -> Weight:
-        spans = [t - s for t, s in zip(self.ts, (0,) + self.ts)]
-        return tuple(_over(sum(map(mul, spans, col)), self.ts[-1]) for col in zip(*self.dirs))
+        ts = self.ts
+        if len(ts) == 1:
+            return self.dirs[0]
+        scale = ts[-1]
+        spans = [t - s for t, s in zip(ts, (0,) + ts)]
+        sums = [sum(map(mul, spans, col)) for col in zip(*self.dirs)]
+        if any(v % scale for v in sums):
+            return tuple([_over(v, scale) for v in sums])
+        return tuple([v // scale for v in sums])
 
 
 def _over(v, scale):
@@ -132,47 +139,31 @@ def concat(p1: Path, p2: Path) -> Path:
 
 # -- vertex columns and the root operators ---------------------------------
 
-def _column(path: Path, i: int) -> list:
-    """``scale`` times H_i at every vertex, vertex 0 (value 0) first."""
+def column(path: Path, i: int) -> list:
+    """``scale`` times H_i at every vertex, vertex 0 (value 0) first: the
+    column the operators at node i read.
+
+    Raises PathError unless every local minimum of H_i is an integer, which
+    the same pass checks: t = 0 always counts (value 0); t = 1 counts when
+    the last nonconstant stretch descends; an interior vertex counts when
+    the surrounding nonconstant stretches descend then ascend.
+    """
+    scale = path.ts[-1]
     col = [0]
     v = prev = 0
+    descending = False  # while True, v is the low point of the current descent
     for mu, t in zip(path.dirs, path.ts):
-        v += (t - prev) * mu[i]
-        col.append(v)
-        prev = t
-    return col
-
-
-def _axis_integral(col, scale) -> bool:
-    """Every local minimum of the vertex column is a multiple of ``scale``.
-
-    t = 0 always counts (value 0); t = 1 counts when the last nonconstant
-    stretch descends; an interior vertex counts when the surrounding
-    nonconstant stretches descend then ascend.
-    """
-    prev = col[0]
-    descending = False
-    for v in col:
-        if v < prev:
+        w = v + (t - prev) * mu[i]
+        if w < v:
             descending = True
-        elif v > prev:
-            if descending and prev % scale:
-                return False
+        elif w > v:
+            if descending and v % scale:
+                raise PathError(f"path is not integral along node {i}")
             descending = False
-        prev = v
-    return not (descending and prev % scale)
-
-
-def is_integral(rs: RootSystem, path: Path) -> bool:
-    """Every local minimum of every H_i is an integer."""
-    scale = path.ts[-1]
-    return all(_axis_integral(_column(path, i), scale) for i in rs.nodes)
-
-
-def column(path: Path, i: int) -> list:
-    """The column the operators at node i read; raises PathError unless H_i is integral."""
-    col = _column(path, i)
-    if not _axis_integral(col, path.ts[-1]):
+        col.append(w)
+        v = w
+        prev = t
+    if descending and v % scale:
         raise PathError(f"path is not integral along node {i}")
     return col
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add as plus, sub as minus
 
 Weight = tuple  # (c_0, ..., c_n[, c_delta]) with int or Fraction entries
 
@@ -105,7 +106,15 @@ def normalize_entry(v):
 
 
 def normalize_weight(x) -> Weight:
+    x = tuple(x)
+    if type(sum(x)) is int:  # all entries are ints: nothing to normalize
+        return x
     return tuple(normalize_entry(v) for v in x)
+
+
+def _same_length(x: Weight, y: Weight) -> None:
+    if len(x) != len(y):
+        raise RootDataError(f"weights of lengths {len(x)} and {len(y)} do not combine")
 
 
 class RootSystem:
@@ -124,6 +133,8 @@ class RootSystem:
         self.theta_coeffs = (0,) + tuple(marks)  # theta on alpha_1..alpha_n, padded
         self.comarks = (1,) + tuple(comarks)  # a_i^vee with a_0^vee = 1
         self.r = r
+        self.nodes = range(rank + 1)
+        self.finite_nodes = range(1, rank + 1)
         self.short_nodes = short_nodes
         self._tau = tau
         # finite Cartan inverse, stored as integer numerators over one
@@ -167,14 +178,6 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.letter}{self.rank})"
-
-    @property
-    def nodes(self) -> range:
-        return range(self.rank + 1)
-
-    @property
-    def finite_nodes(self) -> range:
-        return range(1, self.rank + 1)
 
     @property
     def is_simply_laced(self) -> bool:
@@ -231,10 +234,12 @@ class RootSystem:
         raise RootDataError(f"weight of length {len(x)} does not fit rank {self.rank}")
 
     def add(self, x: Weight, y: Weight) -> Weight:
-        return tuple(normalize_entry(a + b) for a, b in zip(x, y, strict=True))
+        _same_length(x, y)
+        return normalize_weight(map(plus, x, y))
 
     def sub(self, x: Weight, y: Weight) -> Weight:
-        return tuple(normalize_entry(a - b) for a, b in zip(x, y, strict=True))
+        _same_length(x, y)
+        return normalize_weight(map(minus, x, y))
 
     # -- reflections -----------------------------------------------------
 

@@ -6,6 +6,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
+import helpers as H
 from pathcrystals import crystals as C
 from pathcrystals import paths as P
 from pathcrystals.characters import Character
@@ -82,7 +83,7 @@ def two_call_closure(rs, seed, ops, cap, normalizer=None):
             index[path] = pos
         return pos, shift
 
-    if not P.is_integral(rs, seed):
+    if not H.is_integral(rs, seed):
         raise P.PathError("seed path is not integral")
     intern(seed)
     head = 0

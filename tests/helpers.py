@@ -1,17 +1,21 @@
 """Tools the tests share that the program itself never calls: paths built
 from fractional breakpoints and read pointwise, crystal reflections, the
-dominance order, a few weight, character and crystal readings, and the
-record tree of the crystal JSON export."""
+dominance order, a few weight, character and crystal readings, the record
+tree of the crystal JSON export, and the per-entry weight arithmetic, the
+two-pass column and the random-path generator that the fast paths replaced."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
 from pathcrystals import paths as P
 from pathcrystals.characters import Character, hd_delta, hd_finite_part
+from pathcrystals.cli import random_integral_path
 from pathcrystals.rootdata import normalize_entry, normalize_weight
 
 # -- weights and characters ------------------------------------------------
@@ -44,6 +48,23 @@ def dominance_leq(rs, key1, key2) -> bool:
     return hd_delta(key1) >= hd_delta(key2) and in_q_plus(
         rs, hd_finite_part(key2), hd_finite_part(key1)
     )
+
+
+def per_entry_weight(x):
+    """``normalize_weight`` as it was: every entry normalized on its own."""
+    return tuple(normalize_entry(v) for v in x)
+
+
+def per_entry_add(x, y):
+    return tuple(normalize_entry(a + b) for a, b in zip(x, y, strict=True))
+
+
+def per_entry_sub(x, y):
+    return tuple(normalize_entry(a - b) for a, b in zip(x, y, strict=True))
+
+
+def per_entry_shifted(ch: Character, key) -> Character:
+    return Character({per_entry_add(k, key): v for k, v in ch.items()})
 
 
 # -- paths -----------------------------------------------------------------
@@ -117,6 +138,59 @@ def two_pass_reflected(rs, path: P.Path, i: int, g: int, a, b) -> P.Path:
     return two_pass_canonical(dirs, ts)
 
 
+def plain_column(path: P.Path, i: int) -> list:
+    """``scale`` times H_i at every vertex, vertex 0 (value 0) first, with no
+    integrality check: the first pass of the two-pass column."""
+    col = [0]
+    v = prev = 0
+    for mu, t in zip(path.dirs, path.ts):
+        v += (t - prev) * mu[i]
+        col.append(v)
+        prev = t
+    return col
+
+
+def axis_integral(col, scale) -> bool:
+    """Every local minimum of the vertex column is a multiple of ``scale``:
+    the second pass of the two-pass column.
+
+    t = 0 always counts (value 0); t = 1 counts when the last nonconstant
+    stretch descends; an interior vertex counts when the surrounding
+    nonconstant stretches descend then ascend.
+    """
+    prev = col[0]
+    descending = False
+    for v in col:
+        if v < prev:
+            descending = True
+        elif v > prev:
+            if descending and prev % scale:
+                return False
+            descending = False
+        prev = v
+    return not (descending and prev % scale)
+
+
+def two_pass_column(path: P.Path, i: int) -> list:
+    """The column ``paths.column`` builds and checks in one pass, built and
+    checked in two; raises PathError where it does."""
+    col = plain_column(path, i)
+    if not axis_integral(col, path.ts[-1]):
+        raise P.PathError(f"path is not integral along node {i}")
+    return col
+
+
+def is_integral(rs, path: P.Path) -> bool:
+    """Every local minimum of every H_i is an integer: every node's column
+    passes."""
+    try:
+        for i in rs.nodes:
+            P.column(path, i)
+    except P.PathError:
+        return False
+    return True
+
+
 def sigmas(path: P.Path) -> tuple:
     """The breakpoints as reduced fractions of the unit interval."""
     scale = path.ts[-1]
@@ -138,8 +212,15 @@ def vertex_columns(path: P.Path) -> tuple:
 
 
 def kernel_columns(path: P.Path) -> tuple:
-    """Every vertex column, each computed the way the operators compute it."""
-    return tuple(tuple(P._column(path, p)) for p in range(len(path.dirs[0])))
+    """Every vertex column, each computed the way the operators compute it
+    where its profile is integral, else by the plain pass."""
+    out = []
+    for p in range(len(path.dirs[0])):
+        try:
+            out.append(tuple(P.column(path, p)))
+        except P.PathError:
+            out.append(tuple(plain_column(path, p)))
+    return tuple(out)
 
 
 def value(path: P.Path, t) -> tuple:
@@ -157,6 +238,37 @@ def value(path: P.Path, t) -> tuple:
     return tuple(acc)
 
 
+def per_entry_endpoint(path: P.Path) -> tuple:
+    """``Path.endpoint`` as it was: every entry divided by the scale on its own."""
+    spans = [t - s for t, s in zip(path.ts, (0,) + path.ts)]
+    return tuple(P._over(sum(map(mul, spans, col)), path.ts[-1]) for col in zip(*path.dirs))
+
+
+def randint_integral_path(rs, rng) -> P.Path:
+    """``cli.random_integral_path`` as it was, drawing with ``randint`` and
+    choosing from ``list(rs.nodes)``."""
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [rng.randint(-2, 2) for _ in range(rs.rank)]
+        w = rs.weight_of(coeffs, delta=rng.randint(-1, 1))
+        pieces.append(P.straight(w))
+    path = pieces[0]
+    for piece in pieces[1:]:
+        path = P.concat(path, piece)
+    for _ in range(rng.randint(0, 3)):
+        i = rng.choice(list(rs.nodes))
+        nxt = P.f_op(rs, i, path) if rng.random() < 0.5 else P.e_op(rs, i, path)
+        if nxt is not None:
+            path = nxt
+    return path
+
+
+def selftest_paths(rs, seed, count=200) -> list:
+    """The paths ``cli.run_selftest`` checks for one seed."""
+    rng = random.Random(seed)
+    return [random_integral_path(rs, rng) for _ in range(count)]
+
+
 def cl_path(rs, path: P.Path) -> P.Path:
     """Project every direction along cl (drop the null-root entry)."""
     if rs.is_cl(path.dirs[0]):
@@ -170,13 +282,13 @@ def h_profile(rs, path: P.Path, i: int):
     scale = path.ts[-1]
     return [
         (Fraction(t, scale), Fraction(v, scale))
-        for t, v in zip((0,) + path.ts, P._column(path, i))
+        for t, v in zip((0,) + path.ts, plain_column(path, i))
     ]
 
 
 def min_h(rs, path: P.Path, i: int):
     """The minimum of H_i."""
-    return P._over(min(P._column(path, i)), path.ts[-1])
+    return P._over(min(plain_column(path, i)), path.ts[-1])
 
 
 def s_op(rs, i: int, path: P.Path) -> P.Path:

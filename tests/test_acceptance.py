@@ -155,7 +155,7 @@ def _check_operator_properties(rs, path, check_counts=True):
     for i in rs.nodes:
         for op in (P.e_op, P.f_op):
             nxt = op(rs, i, path)
-            assert nxt is None or P.is_integral(rs, nxt)
+            assert nxt is None or H.is_integral(rs, nxt)
         if check_counts:
             eps = P.eps_phi(rs, i, path)[0]
             k, cur = 0, path

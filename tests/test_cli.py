@@ -74,6 +74,15 @@ def test_a_failed_peel_exits_two(capsys, monkeypatch):
     assert err.startswith("check failed: negative residue after stripping block")
 
 
+def test_weights_of_unequal_length_exit_one(capsys, monkeypatch):
+    # RootSystem.add and sub raise RootDataError, a ValueError, which main
+    # reports as a configuration error naming both lengths
+    monkeypatch.setattr(cli, "run_selftest", lambda rs, seed: rs.add(rs.zero(), rs.zero(cl=True)))
+    code, out, err = run(capsys, ["selftest", "--type", "G", "--rank", "2"])
+    assert (code, out) == (1, "")
+    assert err == "error: weights of lengths 4 and 3 do not combine\n"
+
+
 def _shift_first_component(real):
     def patched(*args, **kwargs):
         image = real(*args, **kwargs)

@@ -1,0 +1,244 @@
+"""Differential tests of the integer fast paths against the code they replaced.
+
+``paths.column`` builds a column and checks its integrality in one pass;
+``tests/helpers.py`` keeps the two-pass build-then-check.  The weight layer
+returns all-int tuples without normalizing each entry; the per-entry
+originals are in the helpers too, as is the ``randint`` random-path
+generator that ``cli.random_integral_path`` replaced.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import fraction_paths as R
+import helpers as H
+from conftest import ALL_TYPES, LARGE_WEIGHTS, sweep_weights
+from pathcrystals import crystals as C
+from pathcrystals import paths as P
+from pathcrystals.characters import Character
+from pathcrystals.cli import random_integral_path
+from pathcrystals.rootdata import RootDataError, normalize_weight, root_system
+
+SEEDS = (0, 1, 7)
+
+
+def column_outcome(fn, path, i):
+    try:
+        return "ok", fn(path, i)
+    except P.PathError as exc:
+        return "raise", str(exc)
+
+
+def assert_columns_agree(rs, path):
+    """The fused and the two-pass column at every node; returns the outcomes."""
+    outcomes = []
+    for i in rs.nodes:
+        got = column_outcome(P.column, path, i)
+        assert got == column_outcome(H.two_pass_column, path, i), (path, i)
+        outcomes.append(got[0])
+    return outcomes
+
+
+def halved(weight, k=2):
+    return tuple(Fraction(c, k) for c in weight)
+
+
+def fraction_expression(rs, rng):
+    """Directions and breakpoints of 1 to 4 segments with halved or thirded
+    directions, as the Fraction kernel's differential draws them."""
+    pool = []
+    for _ in range(2):
+        w = rs.weight_of([rng.randint(-3, 3) for _ in range(rs.rank)], delta=rng.randint(-1, 1))
+        pool += [w, tuple(-c for c in w)]
+    count = rng.randint(1, 4)
+    k = rng.choice((2, 3))
+    dirs = [halved(rng.choice(pool), k) for _ in range(count)]
+    lengths = [rng.randint(0, 5) for _ in range(count)]
+    if not any(lengths):
+        lengths[-1] = 1
+    total = sum(lengths)
+    sigmas = [Fraction(sum(lengths[:j + 1]), total) for j in range(count)]
+    return dirs, sigmas
+
+
+# -- one pass per column ---------------------------------------------------
+
+def test_fused_column_matches_two_pass_on_the_sweep_crystals():
+    count = 0
+    for letter, rank, coeffs in sweep_weights():
+        rs = root_system(letter, rank)
+        for path in C.level_zero_cached(rs, rs.weight_of(coeffs)).nodes:
+            assert set(assert_columns_agree(rs, path)) == {"ok"}
+            count += 1
+    assert count > 2000
+
+
+def test_fused_column_matches_two_pass_on_the_selftest_paths():
+    for letter, rank in ALL_TYPES:
+        rs = root_system(letter, rank)
+        for path in H.selftest_paths(rs, 0):
+            assert set(assert_columns_agree(rs, path)) == {"ok"}
+            for i in rs.nodes:  # and at each operator result
+                for op in (P.e_op, P.f_op):
+                    out = op(rs, i, path)
+                    if out is not None:
+                        assert_columns_agree(rs, out)
+
+
+def test_fused_column_matches_two_pass_on_straight_half_weights():
+    # a straight half-weight ends on a descent to a half-integer at every
+    # node it pairs negatively with, and passes where it ascends
+    seen = set()
+    for letter, rank in ALL_TYPES:
+        rs = root_system(letter, rank)
+        weights = [rs.varpi(j) for j in rs.finite_nodes] + [rs.simple_root(j) for j in rs.nodes]
+        for w in weights + [tuple(-c for c in w) for w in weights]:
+            for mu in (halved(w), halved(w)[:-1]):
+                path = P.straight(mu)
+                outcomes = assert_columns_agree(rs, path)
+                seen.update(outcomes)
+                assert H.is_integral(rs, path) == ("raise" not in outcomes)
+    assert seen == {"ok", "raise"}
+
+
+def test_fused_column_matches_two_pass_on_fraction_directions():
+    # the integrality verdict also matches the Fraction kernel's
+    rng = random.Random(15)
+    seen = set()
+    for letter, rank in ALL_TYPES:
+        rs = root_system(letter, rank)
+        for _ in range(60):
+            dirs, sigmas = fraction_expression(rs, rng)
+            path = H.make_path(dirs, sigmas)
+            outcomes = assert_columns_agree(rs, path)
+            seen.update(outcomes)
+            assert ("raise" not in outcomes) == R.is_integral(rs, R.make_path(dirs, sigmas))
+            for i in rs.nodes:
+                for op in (P.e_op, P.f_op):
+                    try:
+                        out = op(rs, i, path)
+                    except P.PathError:
+                        continue
+                    if out is not None:
+                        seen.update(assert_columns_agree(rs, out))
+    assert seen == {"ok", "raise"}
+
+
+def test_interior_and_final_minima_both_raise():
+    A1 = root_system("A", 1)
+    half = halved(A1.varpi(1))
+    minus_half = tuple(-c for c in half)
+    # H_1 falls to -1/2, then climbs: an interior half-integer minimum
+    tent = P.concat(P.straight(minus_half), P.straight(half))
+    # H_1 climbs to 1/2, then falls to 0 and on to -1/2: the minimum is the end
+    fall = P.concat(P.straight(half), P.straight(H.scale(-2, half)))
+    for path in (tent, fall):
+        assert column_outcome(P.column, path, 1) == (
+            "raise", "path is not integral along node 1")
+        assert column_outcome(H.two_pass_column, path, 1)[0] == "raise"
+
+
+def test_a_closure_seed_that_is_not_integral_raises():
+    A1 = root_system("A", 1)
+    with pytest.raises(P.PathError, match="not integral"):
+        C._closure(A1, P.straight(halved(A1.varpi(1))), C.NODE_CAP)
+
+
+# -- weights: an integer fast path -----------------------------------------
+
+def weight_samples():
+    """All-int, all-Fraction, integral-Fraction and mixed weights of length 4,
+    and the empty weight."""
+    return [
+        (0, 0, 0, 0), (1, -2, 3, 0), (-5, 7, 0, 2),
+        (Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3), Fraction(5, 6)),
+        (Fraction(4, 2), Fraction(-6, 3), Fraction(0), Fraction(9, 3)),
+        (Fraction(4, 2), 1, Fraction(1, 2), -3),
+        (1, Fraction(1, 2), 0, Fraction(-8, 4)),
+        (),
+    ]
+
+
+def assert_same_weight(got, want):
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want], (got, want)
+
+
+def test_normalize_weight_matches_per_entry():
+    for x in weight_samples():
+        for arg in (x, list(x), iter(x)):
+            assert_same_weight(normalize_weight(arg), H.per_entry_weight(x))
+    assert_same_weight(normalize_weight((Fraction(4, 2),)), (2,))
+
+
+def test_add_and_sub_match_per_entry():
+    A2 = root_system("A", 2)
+    samples = weight_samples()
+    for x in samples:
+        for y in samples:
+            if len(x) == len(y):
+                assert_same_weight(A2.add(x, y), H.per_entry_add(x, y))
+                assert_same_weight(A2.sub(x, y), H.per_entry_sub(x, y))
+    # integral Fraction sums come back as ints
+    assert_same_weight(A2.add((Fraction(1, 2),), (Fraction(3, 2),)), (2,))
+    assert_same_weight(A2.sub((Fraction(5, 2),), (Fraction(1, 2),)), (2,))
+
+
+def test_shifted_matches_per_entry():
+    samples = [x for x in weight_samples() if x]
+    ch = Character({x: k + 1 for k, x in enumerate(samples[:4])})
+    for key in samples:
+        got = ch.shifted(key)
+        want = H.per_entry_shifted(ch, key)
+        assert got == want
+        for k in got:
+            assert_same_weight(k, next(w for w in want if w == k))
+
+
+def endpoint_samples():
+    A2 = root_system("A", 2)
+    out = [P.straight(x) for x in weight_samples() if x]
+    # Fraction directions whose sums are integral, and ones whose sums are not
+    half = (Fraction(1, 2), Fraction(-1, 2), 0, Fraction(3, 2))
+    three_halves = (Fraction(3, 2), Fraction(1, 2), 1, Fraction(-1, 2))
+    out.append(H.make_path([half, three_halves], [Fraction(1, 2), 1]))
+    out.append(H.make_path([half, three_halves], [Fraction(1, 3), 1]))
+    out.append(H.make_path([(1, 0, 0, 0), (0, 1, 0, 0)], [Fraction(1, 3), 1]))
+    out += H.selftest_paths(A2, 0, 50)
+    for letter, rank, coeffs in LARGE_WEIGHTS:
+        rs = root_system(letter, rank)
+        out += C.level_zero_cached(rs, rs.weight_of(coeffs)).nodes[:300]
+    return out
+
+
+def test_endpoint_matches_per_entry():
+    types = set()
+    for path in endpoint_samples():
+        got = path.endpoint()
+        assert_same_weight(got, H.per_entry_endpoint(path))
+        types.update(map(type, got))
+    assert types == {int, Fraction}
+
+
+def test_add_and_sub_name_both_lengths():
+    A2 = root_system("A", 2)
+    for op in (A2.add, A2.sub):
+        with pytest.raises(RootDataError, match="lengths 4 and 3"):
+            op(A2.zero(), A2.zero(cl=True))
+
+
+# -- the random-path generator ---------------------------------------------
+
+def test_randrange_generator_draws_the_same_paths_as_randint():
+    for seed in SEEDS:
+        for letter, rank in ALL_TYPES:
+            rs = root_system(letter, rank)
+            new = random.Random(seed)
+            old = random.Random(seed)
+            for _ in range(200):
+                got = random_integral_path(rs, new)
+                want = H.randint_integral_path(rs, old)
+                assert (got.dirs, got.ts) == (want.dirs, want.ts)
+            assert new.random() == old.random()  # the streams end level

@@ -78,7 +78,7 @@ def compare_at(rs, new, ref):
     """Every kernel statistic and operator at one path, for every node."""
     assert same_path(new, ref)
     assert_canonical(new)
-    assert P.is_integral(rs, new) == R.is_integral(rs, ref)
+    assert H.is_integral(rs, new) == R.is_integral(rs, ref)
     assert new.endpoint() == ref.endpoint()
     for i in rs.nodes:
         assert H.h_profile(rs, new, i) == R.h_profile(rs, ref, i)

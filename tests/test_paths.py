@@ -57,9 +57,9 @@ def test_profile_tent():
 
 
 def test_is_integral_basic():
-    assert P.is_integral(A1, P.straight(A1.varpi(1)))
+    assert H.is_integral(A1, P.straight(A1.varpi(1)))
     half = tuple(Fraction(c, 2) for c in A1.varpi(1))
-    assert not P.is_integral(A1, P.straight(half))
+    assert not H.is_integral(A1, P.straight(half))
 
 
 def test_integrality_closed_under_operators():
@@ -67,7 +67,7 @@ def test_integrality_closed_under_operators():
     for _ in range(60):
         rs = rng.choice([A1, A2, C2])
         path = random_integral_path(rs, rng)
-        assert P.is_integral(rs, path)
+        assert H.is_integral(rs, path)
 
 
 def test_integral_directions_keep_integer_numerators():
@@ -328,5 +328,5 @@ def test_operator_axioms_hypothesis(data):
     assert (up is None) == (eps == 0)
     if up is not None:
         assert P.f_op(rs, i, up) == path
-        assert P.is_integral(rs, up)
+        assert H.is_integral(rs, up)
 
