@@ -19,8 +19,6 @@ import functools
 import json
 import random
 import sys
-from itertools import repeat
-from json.encoder import encode_basestring_ascii
 
 from . import crystals as C
 from . import decompose as DC
@@ -45,10 +43,11 @@ EXIT_LIMIT = 3
 
 
 def _parse_weight(rs, text):
-    coeffs = tuple(int(c) for c in text.split(","))
-    if len(coeffs) != rs.rank or any(c < 0 for c in coeffs):
+    """Comma-separated ASCII decimal coefficients, spaces around each allowed."""
+    parts = [c.strip() for c in text.split(",")]
+    if len(parts) != rs.rank or not all(c.isascii() and c.isdigit() for c in parts):
         raise RootDataError(f"weight needs {rs.rank} nonnegative coefficients")
-    return coeffs
+    return tuple(map(int, parts))
 
 
 def _cap(text):
@@ -69,71 +68,14 @@ def _root_system(args):
     return root_system(letter, args.rank)
 
 
-# json's text for each leaf type, looked up by exact type
-_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, float: json.dumps,
-           bool: lambda o: "true" if o else "false", type(None): lambda o: "null"}
-
-
-def _key(k):
-    """A non-str dict key as json converts it."""
-    if k is None or isinstance(k, (int, float)):
-        return json.dumps(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
-def _dump(obj, write):
-    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline.
-
-    json encodes in pure Python whenever it indents.  This is one recursive
-    pass, and it hands ``write`` the joined pieces whenever more than 8192
-    have built up, so the output is never held whole.
-    """
-    parts = []
-    append = parts.append
-
-    def encode(o, pad):
-        if isinstance(o, dict):
-            opener, close = "{", "}"
-            items = [(encode_basestring_ascii(k if isinstance(k, str) else _key(k)) + ": ", v)
-                     for k, v in sorted(o.items())]
-        elif isinstance(o, (list, tuple)):
-            opener, close = "[", "]"
-            items = zip(repeat(""), o)
-        else:
-            leaf = _LEAVES.get(type(o))
-            if leaf is None:
-                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-            append(leaf(o))
-            return
-        if not o:
-            append(opener + close)
-            return
-        inner = pad + "  "
-        sep = opener + inner
-        for head, v in items:
-            leaf = _LEAVES.get(type(v))
-            if leaf is not None:  # most values are leaves: encode them in place
-                append(sep + head + leaf(v))
-            else:
-                append(sep + head)
-                encode(v, inner)
-            sep = "," + inner
-            if len(parts) > 8192:
-                write("".join(parts))
-                parts.clear()
-        append(pad + close)
-
-    encode(obj, "\n")
-    append("\n")
-    write("".join(parts))
-
-
 def _emit(payload, fmt, rows):
     if fmt == "tsv":
         for row in rows:
             print("\t".join(str(v) for v in row))
     else:
-        _dump(payload, sys.stdout.write)
+        # these payloads are small; the one large output, the crystal
+        # export, streams through graph_to_json instead
+        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def cmd_crystal(args):
