@@ -12,7 +12,6 @@ both come from the Demazure operator; this module runs no path code.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .rootdata import RootSystem, Weight, normalize_weight
@@ -247,7 +246,5 @@ def decompose_hd(rs: RootSystem, ch: Character) -> dict:
 # -- serialization -------------------------------------------------------------
 
 def char_to_json(ch: Character) -> list:
-    return [
-        {"weight": [str(c) if isinstance(c, Fraction) else c for c in k], "coeff": v}
-        for k, v in sorted(ch.items(), key=lambda kv: tuple(map(str, kv[0])))
-    ]
+    return [{"weight": list(k), "coeff": v}
+            for k, v in sorted(ch.items(), key=lambda kv: tuple(map(str, kv[0])))]

@@ -42,21 +42,23 @@ EXIT_MISMATCH = 2
 EXIT_LIMIT = 3
 
 
+def _ascii_int(text):
+    """``text`` as an int if, spaces stripped, it is ASCII decimal digits; else -1."""
+    text = text.strip()
+    return int(text) if text.isascii() and text.isdigit() else -1
+
+
 def _parse_weight(rs, text):
     """Comma-separated ASCII decimal coefficients, spaces around each allowed."""
-    parts = [c.strip() for c in text.split(",")]
-    if len(parts) != rs.rank or not all(c.isascii() and c.isdigit() for c in parts):
+    coeffs = tuple(map(_ascii_int, text.split(",")))
+    if len(coeffs) != rs.rank or -1 in coeffs:
         raise RootDataError(f"weight needs {rs.rank} nonnegative coefficients")
-    return tuple(map(int, parts))
+    return coeffs
 
 
 def _cap(text):
     """A cap is an integer of at least 1; anything else is a usage error."""
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
+    if (cap := _ascii_int(text)) < 1:
         raise argparse.ArgumentTypeError(f"a cap must be an integer of at least 1, got {text!r}")
     return cap
 

@@ -8,24 +8,22 @@ forms agree (zero-length segments dropped, equal adjacent directions
 merged, times reduced), which makes paths hashable and crystal generation a
 plain set closure.
 
-A path stores nothing beyond its expression.  Each root operator at node i
-reads one column, ``scale`` times H_i at every vertex (:func:`column`, one
-pass over the segments that also checks integrality), which a caller
-running several operators on one (path, i) builds once and passes in.  So the operators compare integers
-and test integrality as ``v % scale == 0``.  A level crossing strictly inside a
-segment is made a breakpoint by rescaling the whole path, so all arithmetic
-stays exact; no tolerances appear anywhere.  Directions may have fractional
-entries, in which case the numerators are fractions and the same code runs
-on them.
+A path stores nothing beyond its expression, and its directions are int
+weights (:func:`straight` and :func:`shift` check them).  Each root operator
+at node i reads one column, ``scale`` times H_i at every vertex
+(:func:`column`, one pass that also checks integrality), which a caller
+running several operators on one (path, i) builds once and passes in.  So
+the operators compare integers and test integrality as ``v % scale == 0``;
+a level crossing strictly inside a segment is made a breakpoint by
+rescaling the whole path.  No tolerances and no Fraction objects appear.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .rootdata import RootSystem, Weight, normalize_weight
+from .rootdata import RootSystem, Weight
 
 
 class PathError(RuntimeError):
@@ -36,7 +34,7 @@ class Path:
     """Canonical expression (mu_1..mu_N; t_1 < ... < t_N = scale).
 
     Segment k runs from time ``ts[k-1] / scale`` (0 for the first) to
-    ``ts[k] / scale`` in direction ``dirs[k]``.  Directions are weight
+    ``ts[k] / scale`` in direction ``dirs[k]``.  Directions are int weight
     tuples of the ambient lattice (with or without the null-root entry).
     Build paths with :func:`straight`, :func:`concat` or the operators; the
     constructor takes an expression that is already canonical.
@@ -60,6 +58,7 @@ class Path:
         return f"Path(dirs={self.dirs!r}, ts={self.ts!r})"
 
     def endpoint(self) -> Weight:
+        """pi(1); PathError when it is not an integral weight."""
         ts = self.ts
         if len(ts) == 1:
             return self.dirs[0]
@@ -67,15 +66,8 @@ class Path:
         spans = [t - s for t, s in zip(ts, (0,) + ts)]
         sums = [sum(map(mul, spans, col)) for col in zip(*self.dirs)]
         if any(v % scale for v in sums):
-            return tuple([_over(v, scale) for v in sums])
+            raise PathError("path endpoint is not integral")
         return tuple([v // scale for v in sums])
-
-
-def _over(v, scale):
-    """v / scale as an int when it is integral, else as a Fraction."""
-    if v % scale == 0:
-        return int(v // scale)
-    return Fraction(v, scale)
 
 
 def _time(path: Path, k: int):
@@ -84,10 +76,8 @@ def _time(path: Path, k: int):
 
 
 def _canonical(dirs, ts) -> Path:
-    """Drop empty segments, merge equal neighbours and reduce the times.
-
-    ``dirs`` must be normalized and ``ts`` nondecreasing nonnegative ints.
-    """
+    """Drop empty segments, merge equal neighbours and reduce the times of an
+    expression with int weights ``dirs`` and nondecreasing nonnegative ``ts``."""
     out_dirs = []
     out_ts = []
     prev = 0
@@ -108,16 +98,24 @@ def _canonical(dirs, ts) -> Path:
     return Path(tuple(out_dirs), tuple(out_ts))
 
 
+def _direction(weight) -> Weight:
+    """``weight`` as a tuple, when every entry is an int; else PathError."""
+    weight = tuple(weight)
+    if not all(type(c) is int for c in weight):
+        raise PathError(f"path directions need int entries, got {weight!r}")
+    return weight
+
+
 def straight(weight: Weight) -> Path:
     """The straight-line path t |-> t * weight (also used for weight 0)."""
-    return Path((normalize_weight(weight),), (1,))
+    return Path((_direction(weight),), (1,))
 
 
 def shift(path: Path, weight: Weight) -> Path:
     """Add the straight-line path of ``weight`` pointwise."""
+    weight = _direction(weight)
     # adding one weight to every direction keeps neighbours distinct
-    return Path(tuple(normalize_weight([a + b for a, b in zip(mu, weight)]) for mu in path.dirs),
-                path.ts)
+    return Path(tuple(tuple([a + b for a, b in zip(mu, weight)]) for mu in path.dirs), path.ts)
 
 
 def concat(p1: Path, p2: Path) -> Path:
@@ -129,7 +127,7 @@ def concat(p1: Path, p2: Path) -> Path:
     """
     if len(p1.dirs[0]) != len(p2.dirs[0]):
         raise PathError("concatenation needs a common lattice")
-    dirs = [normalize_weight([2 * c for c in mu]) for mu in p1.dirs + p2.dirs]
+    dirs = [tuple([2 * c for c in mu]) for mu in p1.dirs + p2.dirs]
     scale = lcm(p1.ts[-1], p2.ts[-1])
     c1 = scale // p1.ts[-1]
     c2 = scale // p2.ts[-1]
@@ -179,15 +177,11 @@ def _crossing(path: Path, col: list, k: int, level, i: int):
     num = level - col[k]
     slope = path.dirs[k][i]
     start = _time(path, k)
-    if type(num) is int and type(slope) is int:
-        step, rem = divmod(num, slope)
-        if not rem:
-            return 1, start + step
-        g = abs(slope) // gcd(num, slope)
-        return g, start * g + num * g // slope
-    q = Fraction(num) / slope
-    g = q.denominator
-    return g, start * g + q.numerator
+    step, rem = divmod(num, slope)
+    if not rem:
+        return 1, start + step
+    g = abs(slope) // gcd(num, slope)
+    return g, start * g + num * g // slope
 
 
 def _reflected(rs: RootSystem, path: Path, i: int, g: int, a, b) -> Path:
@@ -204,9 +198,8 @@ def _reflected(rs: RootSystem, path: Path, i: int, g: int, a, b) -> Path:
             dirs.append(mu)
             ts.append(t if t < a else a)
         if t > a and prev < b:
-            c = mu[i]  # s_i as rs.reflect computes it, with alpha_i read once
-            nu = (tuple([x - c * y for x, y in zip(mu, alpha)]) if c and type(c) is int
-                  else rs.reflect(i, mu))
+            c = mu[i]  # s_i with alpha_i read once; s_i fixes mu when c == 0
+            nu = tuple([x - c * y for x, y in zip(mu, alpha)]) if c else mu
             if prev > a or not dirs or dirs[-1] != nu:  # else continue the prefix
                 dirs.append(nu)
                 ts.append(0)
@@ -263,5 +256,5 @@ def eps_phi(rs: RootSystem, i: int, path: Path, col=None):
     phi = col[-1] - m
     if phi % scale:
         raise PathError(f"endpoint pairing at node {i} is not integral")
-    return int(-m // scale), int(phi // scale)
+    return -m // scale, phi // scale
 

@@ -2,7 +2,8 @@
 from fractional breakpoints and read pointwise, crystal reflections, the
 dominance order, a few weight, character and crystal readings, the record
 tree of the crystal JSON export, and the per-entry weight arithmetic, the
-two-pass column and the random-path generator that the fast paths replaced."""
+Fraction division, the two-pass column and the random-path generator that
+the fast paths replaced."""
 
 from __future__ import annotations
 
@@ -238,10 +239,19 @@ def value(path: P.Path, t) -> tuple:
     return tuple(acc)
 
 
+def _over(v, scale):
+    """v / scale as an int when it is integral, else as a Fraction: how the
+    path kernel divided before its directions were int only."""
+    if v % scale == 0:
+        return int(v // scale)
+    return Fraction(v, scale)
+
+
 def per_entry_endpoint(path: P.Path) -> tuple:
-    """``Path.endpoint`` as it was: every entry divided by the scale on its own."""
+    """``Path.endpoint`` as it was: every entry divided by the scale on its
+    own, a Fraction where the endpoint is not integral."""
     spans = [t - s for t, s in zip(path.ts, (0,) + path.ts)]
-    return tuple(P._over(sum(map(mul, spans, col)), path.ts[-1]) for col in zip(*path.dirs))
+    return tuple(_over(sum(map(mul, spans, col)), path.ts[-1]) for col in zip(*path.dirs))
 
 
 def randint_integral_path(rs, rng) -> P.Path:
@@ -288,7 +298,7 @@ def h_profile(rs, path: P.Path, i: int):
 
 def min_h(rs, path: P.Path, i: int):
     """The minimum of H_i."""
-    return P._over(min(plain_column(path, i)), path.ts[-1])
+    return _over(min(plain_column(path, i)), path.ts[-1])
 
 
 def s_op(rs, i: int, path: P.Path) -> P.Path:

@@ -228,7 +228,8 @@ def test_raise_cap_bounds_the_longest_raising_chain(capsys, command):
 
 @pytest.mark.parametrize("command,option,value", [
     (command, option, value) for command, (_, _, options) in cli.COMMANDS.items()
-    for option in ("--node-cap", "--raise-cap") if option in options for value in ("0", "-3")])
+    for option in ("--node-cap", "--raise-cap") if option in options
+    for value in ("0", "-3", "1_0", "\u0663", "+5")])
 def test_a_cap_below_one_is_a_usage_error(capsys, command, option, value):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--type", "C", "--rank", "2", "--weight", "1,1", option, value])

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -357,12 +356,12 @@ def test_each_column_is_built_once_per_path_and_node(monkeypatch):
 
 def test_shift_matches_a_path_built_from_scratch():
     # the anchoring normalizer shifts by null-root multiples; the other
-    # weights move every column, the halved root by fractions
+    # weights move every column
     for letter, rank, coeffs in sweep_weights() + LARGE_WEIGHTS:
         rs = root_system(letter, rank)
         lam = rs.weight_of(coeffs)
         weights = [H.scale(-2, rs.delta()), rs.delta(), rs.simple_root(0), lam,
-                   tuple(Fraction(v, 2) for v in rs.simple_root(rank))]
+                   rs.simple_root(rank)]
         for path in C.level_zero_cached(rs, lam).nodes:
             for weight in weights:
                 got = P.shift(path, weight)
@@ -381,7 +380,7 @@ def test_columns_and_endpoint_match_the_vertex_columns():
         for path in C.level_zero_cached(rs, rs.weight_of(coeffs)).nodes:
             columns = H.vertex_columns(path)
             assert H.kernel_columns(path) == columns
-            assert path.endpoint() == tuple(P._over(col[-1], path.ts[-1]) for col in columns)
+            assert path.endpoint() == tuple(H._over(col[-1], path.ts[-1]) for col in columns)
 
 
 def test_export_breakpoints_match_their_fractions():

@@ -41,20 +41,20 @@ def assert_columns_agree(rs, path):
     return outcomes
 
 
-def halved(weight, k=2):
-    return tuple(Fraction(c, k) for c in weight)
+def half_way(weight):
+    """The path that runs straight to ``weight`` / 2 by t = 1/2 and stays."""
+    return H.make_path([weight, tuple(0 for _ in weight)], [Fraction(1, 2), 1])
 
 
-def fraction_expression(rs, rng):
-    """Directions and breakpoints of 1 to 4 segments with halved or thirded
-    directions, as the Fraction kernel's differential draws them."""
+def fractional_expression(rs, rng):
+    """Int directions and fractional breakpoints of 1 to 4 segments, as the
+    Fraction kernel's differential draws them."""
     pool = []
     for _ in range(2):
         w = rs.weight_of([rng.randint(-3, 3) for _ in range(rs.rank)], delta=rng.randint(-1, 1))
         pool += [w, tuple(-c for c in w)]
     count = rng.randint(1, 4)
-    k = rng.choice((2, 3))
-    dirs = [halved(rng.choice(pool), k) for _ in range(count)]
+    dirs = [rng.choice(pool) for _ in range(count)]
     lengths = [rng.randint(0, 5) for _ in range(count)]
     if not any(lengths):
         lengths[-1] = 1
@@ -88,29 +88,30 @@ def test_fused_column_matches_two_pass_on_the_selftest_paths():
 
 
 def test_fused_column_matches_two_pass_on_straight_half_weights():
-    # a straight half-weight ends on a descent to a half-integer at every
-    # node it pairs negatively with, and passes where it ascends
+    # a path that runs straight to a half-weight and stays there ends on a
+    # descent to a half-integer at every node the weight pairs oddly and
+    # negatively with, and passes where it ascends
     seen = set()
     for letter, rank in ALL_TYPES:
         rs = root_system(letter, rank)
         weights = [rs.varpi(j) for j in rs.finite_nodes] + [rs.simple_root(j) for j in rs.nodes]
         for w in weights + [tuple(-c for c in w) for w in weights]:
-            for mu in (halved(w), halved(w)[:-1]):
-                path = P.straight(mu)
+            for mu in (w, w[:-1]):
+                path = half_way(mu)
                 outcomes = assert_columns_agree(rs, path)
                 seen.update(outcomes)
                 assert H.is_integral(rs, path) == ("raise" not in outcomes)
     assert seen == {"ok", "raise"}
 
 
-def test_fused_column_matches_two_pass_on_fraction_directions():
+def test_fused_column_matches_two_pass_on_fractional_breakpoints():
     # the integrality verdict also matches the Fraction kernel's
     rng = random.Random(15)
     seen = set()
     for letter, rank in ALL_TYPES:
         rs = root_system(letter, rank)
         for _ in range(60):
-            dirs, sigmas = fraction_expression(rs, rng)
+            dirs, sigmas = fractional_expression(rs, rng)
             path = H.make_path(dirs, sigmas)
             outcomes = assert_columns_agree(rs, path)
             seen.update(outcomes)
@@ -128,12 +129,11 @@ def test_fused_column_matches_two_pass_on_fraction_directions():
 
 def test_interior_and_final_minima_both_raise():
     A1 = root_system("A", 1)
-    half = halved(A1.varpi(1))
-    minus_half = tuple(-c for c in half)
-    # H_1 falls to -1/2, then climbs: an interior half-integer minimum
-    tent = P.concat(P.straight(minus_half), P.straight(half))
+    w = A1.varpi(1)
+    # H_1 falls to -1/4, then climbs: an interior quarter-integer minimum
+    tent = H.make_path([H.scale(-1, w), w], [Fraction(1, 4), 1])
     # H_1 climbs to 1/2, then falls to 0 and on to -1/2: the minimum is the end
-    fall = P.concat(P.straight(half), P.straight(H.scale(-2, half)))
+    fall = H.make_path([w, H.scale(-2, w)], [Fraction(1, 2), 1])
     for path in (tent, fall):
         assert column_outcome(P.column, path, 1) == (
             "raise", "path is not integral along node 1")
@@ -143,7 +143,7 @@ def test_interior_and_final_minima_both_raise():
 def test_a_closure_seed_that_is_not_integral_raises():
     A1 = root_system("A", 1)
     with pytest.raises(P.PathError, match="not integral"):
-        C._closure(A1, P.straight(halved(A1.varpi(1))), C.NODE_CAP)
+        C._closure(A1, half_way(A1.varpi(1)), C.NODE_CAP)
 
 
 # -- weights: an integer fast path -----------------------------------------
@@ -199,12 +199,12 @@ def test_shifted_matches_per_entry():
 
 def endpoint_samples():
     A2 = root_system("A", 2)
-    out = [P.straight(x) for x in weight_samples() if x]
-    # Fraction directions whose sums are integral, and ones whose sums are not
-    half = (Fraction(1, 2), Fraction(-1, 2), 0, Fraction(3, 2))
-    three_halves = (Fraction(3, 2), Fraction(1, 2), 1, Fraction(-1, 2))
-    out.append(H.make_path([half, three_halves], [Fraction(1, 2), 1]))
-    out.append(H.make_path([half, three_halves], [Fraction(1, 3), 1]))
+    out = [P.straight(x) for x in weight_samples() if x and {type(c) for c in x} == {int}]
+    # fractional breakpoints whose sums are integral, and ones whose sums are not
+    odd = (1, -1, 0, 3)
+    other = (3, 1, 2, -1)
+    out.append(H.make_path([odd, other], [Fraction(1, 2), 1]))
+    out.append(H.make_path([odd, other], [Fraction(1, 3), 1]))
     out.append(H.make_path([(1, 0, 0, 0), (0, 1, 0, 0)], [Fraction(1, 3), 1]))
     out += H.selftest_paths(A2, 0, 50)
     for letter, rank, coeffs in LARGE_WEIGHTS:
@@ -214,12 +214,18 @@ def endpoint_samples():
 
 
 def test_endpoint_matches_per_entry():
-    types = set()
+    # an endpoint is the per-entry one where that is integral, else PathError
+    outcomes = set()
     for path in endpoint_samples():
-        got = path.endpoint()
-        assert_same_weight(got, H.per_entry_endpoint(path))
-        types.update(map(type, got))
-    assert types == {int, Fraction}
+        want = H.per_entry_endpoint(path)
+        if {type(v) for v in want} == {int}:
+            assert_same_weight(path.endpoint(), want)
+            outcomes.add("ok")
+        else:
+            with pytest.raises(P.PathError, match="endpoint is not integral"):
+                path.endpoint()
+            outcomes.add("raise")
+    assert outcomes == {"ok", "raise"}
 
 
 def test_add_and_sub_name_both_lengths():

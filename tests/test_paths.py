@@ -57,9 +57,10 @@ def test_profile_tent():
 
 
 def test_is_integral_basic():
-    assert H.is_integral(A1, P.straight(A1.varpi(1)))
-    half = tuple(Fraction(c, 2) for c in A1.varpi(1))
-    assert not H.is_integral(A1, P.straight(half))
+    w = A1.varpi(1)
+    assert H.is_integral(A1, P.straight(w))
+    # H_1 falls to -1/4 before it climbs
+    assert not H.is_integral(A1, H.make_path([H.scale(-1, w), w], [Fraction(1, 4), 1]))
 
 
 def test_integrality_closed_under_operators():
@@ -80,13 +81,25 @@ def test_integral_directions_keep_integer_numerators():
         for out in [path] + [op(rs, i, path) for i in rs.nodes for op in (P.e_op, P.f_op)]:
             if out is not None:
                 assert all(type(t) is int for t in out.ts)
+                assert all(type(c) is int for mu in out.dirs for c in mu)
                 assert all(type(v) is int for col in H.kernel_columns(out) for v in col)
 
 
 def test_non_integral_input_raises():
-    half = tuple(Fraction(c, 2) for c in A1.varpi(1))
-    with pytest.raises(P.PathError):
-        P.e_op(A1, 0, P.straight(half))
+    # int directions, but H_0 falls to -1/2 at t = 1/2 and stays there
+    w = A1.varpi(1)
+    path = H.make_path([w, A1.zero()], [Fraction(1, 2), 1])
+    with pytest.raises(P.PathError, match="not integral along node 0"):
+        P.e_op(A1, 0, path)
+
+
+@pytest.mark.parametrize("weight", [
+    (Fraction(1, 2), Fraction(-1, 2), 0), (Fraction(2, 1), 0, 0), (1.0, -1, 0)])
+def test_straight_and_shift_take_int_entries_only(weight):
+    with pytest.raises(P.PathError, match="int entries"):
+        P.straight(weight)
+    with pytest.raises(P.PathError, match="int entries"):
+        P.shift(P.straight(A1.varpi(1)), weight)
 
 
 # -- root operators ----------------------------------------------------------
