@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .rootdata import RootSystem, Weight, normalize_weight
+from .rootdata import RootSystem, Weight
 
 
 class CharacterError(RuntimeError):
@@ -31,7 +31,7 @@ class Character(dict):
     def monomial(cls, key, coeff: int = 1):
         ch = cls()
         if coeff:
-            ch[normalize_weight(key)] = coeff
+            ch[tuple(key)] = coeff
         return ch
 
     def add_term(self, key, coeff: int) -> None:
@@ -52,12 +52,6 @@ class Character(dict):
         if c == 0:
             return Character()
         return Character({k: c * v for k, v in self.items()})
-
-    def shifted(self, key) -> "Character":
-        return Character(
-            {normalize_weight([a + b for a, b in zip(k, key, strict=True)]): v
-             for k, v in self.items()}
-        )
 
     def projected(self, predicate) -> "Character":
         return Character({k: v for k, v in self.items() if predicate(k)})
@@ -80,12 +74,12 @@ def hd_key(rs: RootSystem, x: Weight) -> tuple:
     """Drop the affine fundamental coordinate: (c_1..c_n, c_delta)."""
     if rs.is_cl(x):
         raise CharacterError("restriction needs a full affine weight")
-    return normalize_weight(x[1:])
+    return tuple(x[1:])
 
 
 def finite_key(rs: RootSystem, x: Weight) -> tuple:
     """Finite pairings only."""
-    return normalize_weight(x[1 : rs.rank + 1])
+    return tuple(x[1 : rs.rank + 1])
 
 
 def restrict_hd(rs: RootSystem, ch: Character) -> Character:
@@ -128,19 +122,25 @@ def hd_below_short(rs: RootSystem, lam: Weight):
     return pred
 
 
-# -- the short-lattice character pushforward ---------------------------------
+# -- moving short keys to the full lattice -----------------------------------
 
-def i_sh_hd(rs: RootSystem, key) -> tuple:
-    """Push a restricted key of the short system through the splitting
-    ``RootSystem.include_sh``; the grading entry is carried across."""
-    return hd_key(rs, rs.include_sh((0,) + tuple(key)))
-
-
-def i_sh_char(rs: RootSystem, ch: Character) -> Character:
-    out = Character()
-    for k, v in ch.items():
-        out.add_term(i_sh_hd(rs, k), v)
-    return out
+def transport_short(rs: RootSystem, lam: Weight, key) -> tuple:
+    """The restricted key lam - beta + m delta for the short system's
+    restricted key ``key`` = lam_bar - beta + m delta, where lam_bar is lam
+    read on the short nodes and each short simple root in beta stands for
+    its namesake upstairs.  beta's coefficients are read off the short
+    system's Cartan inverse, so the result is integral; a key off the coset
+    lam_bar - Q^sh is an error."""
+    sh = rs.short_system()
+    diff = [lam[i] - c for i, c in zip(rs.short_nodes, hd_finite_part(key), strict=True)]
+    out = list(finite_key(rs, lam))
+    for node, v in zip(rs.short_nodes, sh.alpha_numerators(diff)):
+        b, rem = divmod(v, sh.alpha_den)
+        if rem:
+            raise CharacterError(f"short key {key} is not lam_bar minus a short root-lattice element")
+        for p, a in enumerate(rs.simple_root(node)[1 : rs.rank + 1]):
+            out[p] -= b * a
+    return tuple(out) + (hd_delta(key),)
 
 
 # -- the Demazure character formula -----------------------------------------
@@ -183,12 +183,12 @@ def finite_char(rs: RootSystem, mu_coeffs: tuple) -> Character:
 
 # -- peeling into building blocks -------------------------------------------
 
-def hd_height(rs: RootSystem, key):
-    """Height of the finite part minus the grading.  It strictly increases
-    up the dominance order (one key lies below another when their finite
-    parts differ by Q_+ and its grading is at least the other's), so a key
-    that maximises it is maximal."""
-    return rs.height(hd_finite_part(key)) - hd_delta(key)
+def hd_height(rs: RootSystem, key) -> int:
+    """``alpha_den`` times the height of the finite part minus the grading.
+    It strictly increases up the dominance order (one key lies below another
+    when their finite parts differ by Q_+ and its grading is at least the
+    other's), so a key that maximises it is maximal."""
+    return rs.height_num(hd_finite_part(key)) - rs.alpha_den * hd_delta(key)
 
 
 def peel_demazure(rs: RootSystem, ch: Character, char_of) -> list:

@@ -63,6 +63,23 @@ def _cap(text):
     return cap
 
 
+def _count(text):
+    """ASCII decimal digits; anything else is a usage error."""
+    if (n := _ascii_int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
+    return n
+
+
+def _shift(text):
+    """An optional leading '-', then ASCII decimal digits; anything else is a
+    usage error."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected an optional '-' and ASCII decimal digits, got {text!r}")
+    return int(text)
+
+
 def _root_system(args):
     letter = args.type.upper()
     if letter not in SUPPORTED or args.rank not in SUPPORTED[letter]:
@@ -264,9 +281,9 @@ COMMANDS = {
 OPTIONS = {
     "--weight": {"required": True,
                  "help": "comma-separated coefficients; verify accepts ;-separated lists"},
-    "--level": {"type": int, "default": 1},
-    "--mshift": {"type": int, "default": 0},
-    "--seed": {"type": int, "default": 0},
+    "--level": {"type": _count, "default": 1},
+    "--mshift": {"type": _shift, "default": 0},
+    "--seed": {"type": _count, "default": 0},
     "--node-cap": {"type": _cap, "default": C.NODE_CAP},
     "--raise-cap": {"type": _cap, "default": DC.RAISE_CAP},
     "--restrict": {"action": "store_true", "help": "restrict characters"},
@@ -291,7 +308,7 @@ def build_parser():
     for name, (_, formats, options) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--type", required=True, help="finite type letter (A,B,C,D,G,F)")
-        p.add_argument("--rank", type=int, required=True)
+        p.add_argument("--rank", type=_count, required=True)
         p.add_argument("--format", choices=formats.split(), default="json")
         for option in options.split():
             p.add_argument(option, **OPTIONS[option])

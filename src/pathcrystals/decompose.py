@@ -2,7 +2,8 @@
 
 Route (a) sums the full-lattice weights over the finite level-zero crystal.
 Route (b) peels the level-one block character of the short subsystem into
-level-r blocks and transports them back through the splitting.  Route (c)
+level-r blocks and moves them back to the full lattice by their root-lattice
+differences from lam.  Route (c)
 concatenates the basic highest path onto every crystal element, follows the
 crystal's recorded raising edges to its component's top, and requires each
 component's key sum to be the level-one block named by its top key.  The
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .characters import (
     Character,
@@ -25,9 +25,8 @@ from .characters import (
     hd_finite_part,
     hd_height,
     hd_key,
-    i_sh_char,
-    i_sh_hd,
     peel_demazure,
+    transport_short,
 )
 from .crystals import (
     NODE_CAP,
@@ -140,16 +139,11 @@ def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
     return DemazureImage(graph, components)
 
 
-# -- the short-subsystem bridge ------------------------------------------------
+# -- the short subsystem --------------------------------------------------------
 
 def lam_bar_coeffs(rs: RootSystem, lam: Weight) -> tuple:
     """Coefficients of the restricted weight on the short chain."""
     return tuple(lam[i] for i in rs.short_nodes)
-
-
-def lam_prime(rs: RootSystem, lam: Weight) -> Weight:
-    """The part of lam invisible to the short subsystem (may be fractional)."""
-    return rs.sub(lam, rs.include_sh(rs.restrict_sh(lam)))
 
 
 def peel_short_filtration(rs: RootSystem, lam: Weight, cap: int = NODE_CAP):
@@ -165,20 +159,18 @@ def weyl_filtration_multiset(rs: RootSystem, lam: Weight, cap: int = NODE_CAP):
     """The multiset of (mu coefficients, grading shift, multiplicity).
 
     Simply laced types contribute the single block at the weight itself;
-    otherwise the short-system peel is transported through the splitting and
-    shifted by the invisible part of lam.
+    otherwise each piece of the short-system peel moves to the full lattice
+    by its root-lattice difference from lam.
     """
     coeffs = finite_key(rs, lam)
     if rs.is_simply_laced:
         return [(coeffs, 0, 1)]
-    lpk = finite_key(rs, lam_prime(rs, lam))
     out = []
     for nu_key, m, mult in peel_short_filtration(rs, lam, cap):
-        pushed = hd_finite_part(i_sh_hd(rs, nu_key + (0,)))
-        mu = tuple(a + b for a, b in zip(pushed, lpk, strict=True))
-        if any(Fraction(c).denominator != 1 or c < 0 for c in mu):
-            raise DecompositionError(f"filtration weight {mu} is not dominant integral")
-        out.append((tuple(int(c) for c in mu), m, mult))
+        mu = hd_finite_part(transport_short(rs, lam, nu_key + (0,)))
+        if any(c < 0 for c in mu):
+            raise DecompositionError(f"filtration weight {mu} is not dominant")
+        out.append((mu, m, mult))
     return out
 
 
@@ -206,9 +198,11 @@ def _short_projection_difference(rs: RootSystem, lam: Weight, full: Character,
                                  level: int, m: int, cap: int) -> Character:
     """The part of ``full`` supported below lam along short roots, minus the
     transported level-``level`` short block at shift ``m``."""
-    lhs = full.projected(hd_below_short(rs, lam))
+    out = full.projected(hd_below_short(rs, lam))
     short = block_char(rs.short_system(), level, lam_bar_coeffs(rs, lam), m, cap)
-    return lhs.added(i_sh_char(rs, short).shifted(hd_key(rs, lam_prime(rs, lam))), -1)
+    for key, coeff in short.items():
+        out.add_term(transport_short(rs, lam, key), -coeff)
+    return out
 
 
 def short_restriction_identity(rs: RootSystem, lam: Weight, a_char: Character,

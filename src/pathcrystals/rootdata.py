@@ -1,6 +1,6 @@
 """Untwisted affine root-system data for the finite types A-G.
 
-Weights are plain tuples of exact numbers.  A weight of the affine lattice
+Weights are plain tuples of ints.  A weight of the affine lattice
 carries ``rank + 2`` entries ``(c_0, ..., c_n, c_delta)``: the coefficients on
 the affine fundamental weights followed by the null-root coefficient.  A
 classical (cl-projected) weight drops the last entry.  With this choice the
@@ -13,11 +13,10 @@ for G2 node 1 is the long simple root and node 2 the short one.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add as plus, sub as minus
 
-Weight = tuple  # (c_0, ..., c_n[, c_delta]) with int or Fraction entries
+Weight = tuple  # (c_0, ..., c_n[, c_delta]) with int entries
 
 ITERATION_CAP = 100_000
 
@@ -99,19 +98,6 @@ def _det(matrix) -> int:
     return sum((-1) ** j * a * _det(_minor(matrix, 0, j)) for j, a in enumerate(matrix[0]) if a)
 
 
-def normalize_entry(v):
-    if type(v) is not int and isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else v
-    return v
-
-
-def normalize_weight(x) -> Weight:
-    x = tuple(x)
-    if type(sum(x)) is int:  # all entries are ints: nothing to normalize
-        return x
-    return tuple(normalize_entry(v) for v in x)
-
-
 def _same_length(x: Weight, y: Weight) -> None:
     if len(x) != len(y):
         raise RootDataError(f"weights of lengths {len(x)} and {len(y)} do not combine")
@@ -121,8 +107,8 @@ class RootSystem:
     """Affine root-system instance for one finite type and rank.
 
     All derived tables (affine Cartan matrix, finite Cartan inverse, root
-    enumerations, the short subsystem bridge) are computed once in the
-    constructor; instances are immutable and shared through :func:`root_system`.
+    enumerations) are computed once in the constructor; instances are
+    immutable and shared through :func:`root_system`.
     """
 
     def __init__(self, letter: str, rank: int):
@@ -144,8 +130,9 @@ class RootSystem:
             tuple((-1) ** (i + j) * _det(_minor(cartan, j, i)) for j in range(rank))
             for i in range(rank)
         )
-        # the inverse's column sums: the height of x is their pairing with x
-        self._height_num = tuple(sum(col) for col in zip(*self._inv_num))
+        # the inverse's column sums: alpha_den times the height of x is
+        # their pairing with x
+        self._height_row = tuple(sum(col) for col in zip(*self._inv_num))
 
         n = rank
         # affine Cartan: row 0 / column 0 from theta and theta^vee
@@ -235,24 +222,21 @@ class RootSystem:
 
     def add(self, x: Weight, y: Weight) -> Weight:
         _same_length(x, y)
-        return normalize_weight(map(plus, x, y))
+        return tuple(map(plus, x, y))
 
     def sub(self, x: Weight, y: Weight) -> Weight:
         _same_length(x, y)
-        return normalize_weight(map(minus, x, y))
+        return tuple(map(minus, x, y))
 
     # -- reflections -----------------------------------------------------
 
     def reflect(self, i: int, x: Weight) -> Weight:
-        """s_i(x) = x - <x, alpha_i^vee> alpha_i, on either lattice; x normalized."""
+        """s_i(x) = x - <x, alpha_i^vee> alpha_i, on either lattice."""
         c = x[i]
         if c == 0:
             return x
         alpha = self.simple_root(i, cl=self.is_cl(x))
-        if type(c) is int:
-            # alpha is integral, so each entry keeps its denominator
-            return tuple([a - c * b for a, b in zip(x, alpha)])
-        return tuple(normalize_entry(a - c * b) for a, b in zip(x, alpha))
+        return tuple([a - c * b for a, b in zip(x, alpha)])
 
     def weyl_apply(self, word, x: Weight) -> Weight:
         """Apply s_{word[0]} ... s_{word[-1]} to x (rightmost letter first)."""
@@ -321,19 +305,10 @@ class RootSystem:
         (alpha_1..alpha_n) of the weight with finite pairings ``finite``."""
         return tuple(sum(a * c for a, c in zip(row, finite)) for row in self._inv_num)
 
-    def height(self, finite):
-        """Sum of the simple-root coefficients of the weight with finite
-        pairings ``finite``."""
-        return normalize_entry(
-            Fraction(sum(a * c for a, c in zip(self._height_num, finite)), self.alpha_den)
-        )
-
-    def classical_alpha_expand(self, x: Weight):
-        """Coefficients on (alpha_1..alpha_n) of the classical part of x, read
-        off the stored Cartan inverse; integral entries come out as ints."""
-        den = self.alpha_den
-        return tuple(normalize_entry(Fraction(v, den))
-                     for v in self.alpha_numerators(x[1:self.rank + 1]))
+    def height_num(self, finite) -> int:
+        """``alpha_den`` times the sum of the simple-root coefficients of the
+        weight with finite pairings ``finite``."""
+        return sum(a * c for a, c in zip(self._height_row, finite))
 
     # -- short subsystem -------------------------------------------------
 
@@ -344,34 +319,6 @@ class RootSystem:
     def short_system(self) -> "RootSystem":
         self._require_short()
         return root_system("A", len(self.short_nodes))
-
-    def restrict_sh(self, x: Weight) -> Weight:
-        """Project an affine weight to the lattice of the short subsystem."""
-        self._require_short()
-        if self.is_cl(x):
-            raise RootDataError("restrict_sh expects a full affine weight")
-        c0 = self.r * self.level(x) - sum(x[i] for i in self.short_nodes)
-        coords = [c0] + [x[i] for i in self.short_nodes] + [x[-1]]
-        return normalize_weight(tuple(coords))
-
-    def include_sh(self, y: Weight) -> Weight:
-        """Splitting of restrict_sh: short simple roots, Lambda_0 and delta map
-        to their namesakes upstairs.  Coordinates may come out fractional."""
-        self._require_short()
-        sh = self.short_system()
-        k = sh.rank
-        if len(y) != k + 2:
-            raise RootDataError("include_sh expects a full short-lattice weight")
-        lv = sh.level(y)
-        finite = sh.classical_alpha_expand(y)
-        out = [Fraction(0)] * (self.rank + 2)
-        for j, node in enumerate(self.short_nodes):
-            alpha = self.simple_root(node)
-            for p in range(self.rank + 2):
-                out[p] += finite[j] * alpha[p]
-        out[0] += Fraction(lv, self.r)
-        out[-1] += y[-1]
-        return normalize_weight(tuple(out))
 
     def tau_data(self):
         """Word over the affine nodes and the short node it transports to

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from pathcrystals.rootdata import RootSystem, Weight, normalize_weight
+from helpers import normalize_weight
+from pathcrystals.rootdata import RootSystem, Weight
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -2,8 +2,8 @@
 from fractional breakpoints and read pointwise, crystal reflections, the
 dominance order, a few weight, character and crystal readings, the record
 tree of the crystal JSON export, and the per-entry weight arithmetic, the
-Fraction division, the two-pass column and the random-path generator that
-the fast paths replaced."""
+Fraction division, the Fraction bridge to the short subsystem, the two-pass
+column and the random-path generator that the integer code replaced."""
 
 from __future__ import annotations
 
@@ -15,11 +15,23 @@ from operator import mul
 from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
 from pathcrystals import paths as P
-from pathcrystals.characters import Character, hd_delta, hd_finite_part
+from pathcrystals.characters import Character, hd_delta, hd_finite_part, hd_key
 from pathcrystals.cli import random_integral_path
-from pathcrystals.rootdata import normalize_entry, normalize_weight
+from pathcrystals.rootdata import RootDataError
 
 # -- weights and characters ------------------------------------------------
+
+def normalize_entry(v):
+    """An integral Fraction as an int; any other entry as it is."""
+    if type(v) is not int and isinstance(v, Fraction):
+        return int(v) if v.denominator == 1 else v
+    return v
+
+
+def normalize_weight(x):
+    """The weight x with every entry normalized on its own."""
+    return tuple(normalize_entry(v) for v in x)
+
 
 def scale(c, x):
     """The weight c * x."""
@@ -51,11 +63,6 @@ def dominance_leq(rs, key1, key2) -> bool:
     )
 
 
-def per_entry_weight(x):
-    """``normalize_weight`` as it was: every entry normalized on its own."""
-    return tuple(normalize_entry(v) for v in x)
-
-
 def per_entry_add(x, y):
     return tuple(normalize_entry(a + b) for a, b in zip(x, y, strict=True))
 
@@ -66,6 +73,59 @@ def per_entry_sub(x, y):
 
 def per_entry_shifted(ch: Character, key) -> Character:
     return Character({per_entry_add(k, key): v for k, v in ch.items()})
+
+
+# -- the Fraction bridge to the short subsystem -----------------------------
+
+def classical_alpha_expand(rs, x):
+    """Coefficients on (alpha_1..alpha_n) of the classical part of x, as
+    Fractions where they are not integral."""
+    den = rs.alpha_den
+    return tuple(normalize_entry(Fraction(v, den))
+                 for v in rs.alpha_numerators(x[1:rs.rank + 1]))
+
+
+def restrict_sh(rs, x):
+    """Project an affine weight to the lattice of the short subsystem."""
+    rs.short_system()  # raises for a simply laced type
+    if rs.is_cl(x):
+        raise RootDataError("restrict_sh expects a full affine weight")
+    c0 = rs.r * rs.level(x) - sum(x[i] for i in rs.short_nodes)
+    return normalize_weight((c0, *(x[i] for i in rs.short_nodes), x[-1]))
+
+
+def include_sh(rs, y):
+    """Splitting of restrict_sh: short simple roots, Lambda_0 and delta map
+    to their namesakes upstairs.  Coordinates may come out fractional."""
+    sh = rs.short_system()
+    if len(y) != sh.rank + 2:
+        raise RootDataError("include_sh expects a full short-lattice weight")
+    finite = classical_alpha_expand(sh, y)
+    out = [Fraction(0)] * (rs.rank + 2)
+    for j, node in enumerate(rs.short_nodes):
+        for p, a in enumerate(rs.simple_root(node)):
+            out[p] += finite[j] * a
+    out[0] += Fraction(sh.level(y), rs.r)
+    out[-1] += y[-1]
+    return normalize_weight(out)
+
+
+def lam_prime(rs, lam):
+    """The part of lam invisible to the short subsystem (may be fractional)."""
+    return per_entry_sub(lam, include_sh(rs, restrict_sh(rs, lam)))
+
+
+def i_sh_hd(rs, key):
+    """Push a restricted key of the short system through ``include_sh``;
+    the grading entry is carried across."""
+    return hd_key(rs, include_sh(rs, (0,) + tuple(key)))
+
+
+def i_sh_char(rs, ch: Character) -> Character:
+    out = Character()
+    for k, v in ch.items():
+        out.add_term(i_sh_hd(rs, k), v)
+    return out
 
 
 # -- paths -----------------------------------------------------------------

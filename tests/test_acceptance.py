@@ -229,7 +229,7 @@ def test_criterion_09_short_subalgebra_identities():
         cond_ii = True
         for cut in range(len(word)):
             img = rs.weyl_apply(word[:cut], rs.simple_root(word[cut]))
-            if tuple(rs.classical_alpha_expand(img)) in short_roots:
+            if tuple(H.classical_alpha_expand(rs, img)) in short_roots:
                 cond_ii = False
         report(9, f"{letter}{rank} tau word conditions", cond_i and cond_ii)
 

@@ -1,14 +1,14 @@
 """Every public function and method in ``src/`` has a caller in ``src/``,
-and the path kernel computes with ints only.
+and ``src/`` computes with ints only.
 
 The scan collects every ``Name`` and ``Attribute`` reference in
 ``src/pathcrystals/*.py``; a public module-level function or method fails
 when no reference to its name lies outside its own body.  It matches names,
 not bindings, so a name collision (a method ``value`` and any variable
 ``value``) can hide an unused name.  Test-only tools live in
-``tests/helpers.py``.  A second scan keeps ``fractions`` out of
-``paths.py``: path directions are int weights, so the kernel has one kind
-of arithmetic, and the Fraction references live in ``tests/``.
+``tests/helpers.py``.  A second scan keeps ``fractions`` out of every
+module: weights and path directions are int tuples, so the program has one
+kind of arithmetic, and the Fraction references live in ``tests/``.
 """
 
 import ast
@@ -39,8 +39,10 @@ def test_every_public_function_has_a_caller_in_src():
 
 
 def test_the_path_kernel_names_no_fractions():
-    tree = ast.parse((SRC / "paths.py").read_text())
-    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
-    names = set(_names(tree)) | {alias.name for node in imports for alias in node.names}
-    names |= {node.module for node in imports if isinstance(node, ast.ImportFrom)}
-    assert not names & {"fractions", "Fraction"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        names = set(_names(tree)) | {alias.name for node in imports for alias in node.names}
+        names |= {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+        assert not names & {"fractions", "Fraction"}, path.name

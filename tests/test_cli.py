@@ -123,6 +123,13 @@ def test_demazure_character_output(capsys):
     payload = json.loads(out)
     assert payload["nodes"] == 2
     assert payload["word"] == [1]
+    # integer options may carry spaces, and --mshift a leading '-'
+    code, out, _ = run(
+        capsys,
+        ["demazure", "--type", "A", "--rank", " 1 ", "--weight", "1", "--mshift", "-2", "--restrict"],
+    )
+    assert code == 0
+    assert {tuple(term["weight"]) for term in json.loads(out)["character"]} == {(1, -2), (-1, -2)}
 
 
 def test_decompose_output(capsys):
@@ -226,16 +233,32 @@ def test_raise_cap_bounds_the_longest_raising_chain(capsys, command):
     assert code == 0 and err == ""
 
 
+SPELLING_ERRORS = {
+    "--node-cap": "a cap must be an integer of at least 1",
+    "--raise-cap": "a cap must be an integer of at least 1",
+    "--rank": "expected ASCII decimal digits",
+    "--level": "expected ASCII decimal digits",
+    "--seed": "expected ASCII decimal digits",
+    "--mshift": "expected an optional '-' and ASCII decimal digits",
+}
+
+
 @pytest.mark.parametrize("command,option,value", [
     (command, option, value) for command, (_, _, options) in cli.COMMANDS.items()
     for option in ("--node-cap", "--raise-cap") if option in options
-    for value in ("0", "-3", "1_0", "\u0663", "+5")])
+    for value in ("0", "-3", "1_0", "\u0663", "+5")] + [
+    (command, option, value)
+    for command, option in [(command, "--rank") for command in cli.COMMANDS]
+    + [("demazure", "--level"), ("selftest", "--seed")]
+    for value in ("\u0662", "0_2", "+2", "-2", "2.0")] + [
+    ("demazure", "--mshift", value) for value in ("\u0661", "1_0", "+1", "- 1", "-\u0663", "1-")])
 def test_a_cap_below_one_is_a_usage_error(capsys, command, option, value):
+    # and every other integer option spelled otherwise than in ASCII digits
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--type", "C", "--rank", "2", "--weight", "1,1", option, value])
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert f"argument {option}: a cap must be an integer of at least 1, got '{value}'" in err
+    assert f"argument {option}: {SPELLING_ERRORS[option]}, got '{value}'" in err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -18,7 +18,7 @@ from pathcrystals import cli
 from pathcrystals import crystals as C
 from pathcrystals import demazure as DZ
 from pathcrystals import paths as P
-from pathcrystals.rootdata import normalize_weight, root_system
+from pathcrystals.rootdata import root_system
 
 A1 = root_system("A", 1)
 A2 = root_system("A", 2)
@@ -365,7 +365,7 @@ def test_shift_matches_a_path_built_from_scratch():
         for path in C.level_zero_cached(rs, lam).nodes:
             for weight in weights:
                 got = P.shift(path, weight)
-                dirs = tuple(normalize_weight([a + b for a, b in zip(mu, weight)])
+                dirs = tuple(H.normalize_weight([a + b for a, b in zip(mu, weight)])
                              for mu in path.dirs)
                 want = P.Path(dirs, path.ts)
                 assert (got.dirs, got.ts, H.kernel_columns(got)) == (

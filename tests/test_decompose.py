@@ -305,10 +305,10 @@ def sh_embed(rs, lam, short_path):
     """Transport a short-system path: split each direction and add the
     straight line of the invisible part.  The result has integral directions
     whenever the input directions lie in the restricted orbit."""
-    lp = DC.lam_prime(rs, lam)
+    lp = H.lam_prime(rs, lam)
     dirs = []
     for nu in short_path.dirs:
-        d = rs.add(rs.include_sh(nu), lp)
+        d = H.per_entry_add(H.include_sh(rs, nu), lp)
         if any(isinstance(c, Fraction) for c in d):
             raise DC.DecompositionError(f"embedded direction {d} is not integral")
         dirs.append(d)
@@ -318,19 +318,19 @@ def sh_embed(rs, lam, short_path):
 def test_sh_embed_straight_seed(nsl_rs):
     lam = nsl_rs.weight_of(tuple(1 for _ in nsl_rs.finite_nodes))
     sh = nsl_rs.short_system()
-    short_seed = P.straight(nsl_rs.restrict_sh(lam))
+    short_seed = P.straight(H.restrict_sh(nsl_rs, lam))
     assert sh_embed(nsl_rs, lam, short_seed) == P.straight(lam)
 
 
 def test_sh_embed_weight_law():
     lam = C2.weight_of((2, 1))
     sh = C2.short_system()
-    bar = C2.restrict_sh(lam)
+    bar = H.restrict_sh(C2, lam)
     graph = C.generate_level_zero(sh, bar)
-    lp = DC.lam_prime(C2, lam)
+    lp = H.lam_prime(C2, lam)
     for path in graph.nodes:
         image = sh_embed(C2, lam, path)
-        want = C2.add(C2.include_sh(path.endpoint()), lp)
+        want = H.per_entry_add(H.include_sh(C2, path.endpoint()), lp)
         assert image.endpoint() == want
 
 
@@ -341,7 +341,7 @@ def test_sh_embed_bijection_onto_short_cone(letter, rank, coeffs):
     rs = root_system(letter, rank)
     lam = rs.weight_of(coeffs)
     sh = rs.short_system()
-    short_graph = C.generate_level_zero(sh, rs.restrict_sh(lam))
+    short_graph = C.generate_level_zero(sh, H.restrict_sh(rs, lam))
     big_graph = C.generate_level_zero(rs, lam)
 
     anchored_images = set()

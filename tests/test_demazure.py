@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import LARGE_WEIGHTS, sweep_weights
+import helpers as H
 from helpers import dominance_leq
 from pathcrystals import decompose as DC
 from pathcrystals import demazure as D
@@ -177,7 +178,7 @@ def test_character_delta_shift_covariance():
     for rs, coeffs in [(A1, (2,)), (C2, (1, 1)), (G2, (0, 1))]:
         base = demazure_character(demazure_params(rs, 1, coeffs, 0), restrict_to_hd=True)
         shifted = demazure_character(demazure_params(rs, 1, coeffs, 3), restrict_to_hd=True)
-        assert shifted == base.shifted((0,) * rs.rank + (3,))
+        assert shifted == H.per_entry_shifted(base, (0,) * rs.rank + (3,))
 
 
 def test_type_a_blocks_are_irreducible_characters():

@@ -2,8 +2,9 @@
 
 ``paths.column`` builds a column and checks its integrality in one pass;
 ``tests/helpers.py`` keeps the two-pass build-then-check.  The weight layer
-returns all-int tuples without normalizing each entry; the per-entry
-originals are in the helpers too, as is the ``randint`` random-path
+holds int tuples and normalizes no entry; the per-entry originals are in
+the helpers too, as are the Fraction bridge to the short subsystem that
+``characters.transport_short`` replaced and the ``randint`` random-path
 generator that ``cli.random_integral_path`` replaced.
 """
 
@@ -15,11 +16,13 @@ import pytest
 import fraction_paths as R
 import helpers as H
 from conftest import ALL_TYPES, LARGE_WEIGHTS, sweep_weights
+from pathcrystals import characters as CH
 from pathcrystals import crystals as C
+from pathcrystals import decompose as DC
 from pathcrystals import paths as P
-from pathcrystals.characters import Character
 from pathcrystals.cli import random_integral_path
-from pathcrystals.rootdata import RootDataError, normalize_weight, root_system
+from pathcrystals.demazure import block_char
+from pathcrystals.rootdata import RootDataError, root_system
 
 SEEDS = (0, 1, 7)
 
@@ -146,31 +149,16 @@ def test_a_closure_seed_that_is_not_integral_raises():
         C._closure(A1, half_way(A1.varpi(1)), C.NODE_CAP)
 
 
-# -- weights: an integer fast path -----------------------------------------
+# -- weights: int tuples only ----------------------------------------------
 
 def weight_samples():
-    """All-int, all-Fraction, integral-Fraction and mixed weights of length 4,
-    and the empty weight."""
-    return [
-        (0, 0, 0, 0), (1, -2, 3, 0), (-5, 7, 0, 2),
-        (Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3), Fraction(5, 6)),
-        (Fraction(4, 2), Fraction(-6, 3), Fraction(0), Fraction(9, 3)),
-        (Fraction(4, 2), 1, Fraction(1, 2), -3),
-        (1, Fraction(1, 2), 0, Fraction(-8, 4)),
-        (),
-    ]
+    """Int weights of length 4, and the empty weight."""
+    return [(0, 0, 0, 0), (1, -2, 3, 0), (-5, 7, 0, 2), (4, -6, 1, 9), ()]
 
 
 def assert_same_weight(got, want):
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want], (got, want)
-
-
-def test_normalize_weight_matches_per_entry():
-    for x in weight_samples():
-        for arg in (x, list(x), iter(x)):
-            assert_same_weight(normalize_weight(arg), H.per_entry_weight(x))
-    assert_same_weight(normalize_weight((Fraction(4, 2),)), (2,))
 
 
 def test_add_and_sub_match_per_entry():
@@ -181,25 +169,11 @@ def test_add_and_sub_match_per_entry():
             if len(x) == len(y):
                 assert_same_weight(A2.add(x, y), H.per_entry_add(x, y))
                 assert_same_weight(A2.sub(x, y), H.per_entry_sub(x, y))
-    # integral Fraction sums come back as ints
-    assert_same_weight(A2.add((Fraction(1, 2),), (Fraction(3, 2),)), (2,))
-    assert_same_weight(A2.sub((Fraction(5, 2),), (Fraction(1, 2),)), (2,))
-
-
-def test_shifted_matches_per_entry():
-    samples = [x for x in weight_samples() if x]
-    ch = Character({x: k + 1 for k, x in enumerate(samples[:4])})
-    for key in samples:
-        got = ch.shifted(key)
-        want = H.per_entry_shifted(ch, key)
-        assert got == want
-        for k in got:
-            assert_same_weight(k, next(w for w in want if w == k))
 
 
 def endpoint_samples():
     A2 = root_system("A", 2)
-    out = [P.straight(x) for x in weight_samples() if x and {type(c) for c in x} == {int}]
+    out = [P.straight(x) for x in weight_samples() if x]
     # fractional breakpoints whose sums are integral, and ones whose sums are not
     odd = (1, -1, 0, 3)
     other = (3, 1, 2, -1)
@@ -233,6 +207,55 @@ def test_add_and_sub_name_both_lengths():
     for op in (A2.add, A2.sub):
         with pytest.raises(RootDataError, match="lengths 4 and 3"):
             op(A2.zero(), A2.zero(cl=True))
+
+
+# -- moving short keys to the full lattice ---------------------------------
+
+def short_block_keys(rs, lam):
+    """Every key of the level-one short block of lam and of each level-r
+    block its peel strips."""
+    sh = rs.short_system()
+    keys = list(block_char(sh, 1, DC.lam_bar_coeffs(rs, lam), 0, C.NODE_CAP))
+    for nu, m, _ in DC.peel_short_filtration(rs, lam):
+        keys += block_char(sh, rs.r, nu, m, C.NODE_CAP)
+    return keys
+
+
+def fraction_height(rs, key):
+    return sum(H.classical_alpha_expand(rs, (0,) + tuple(key[:-1]))) - key[-1]
+
+
+def test_transport_short_matches_the_fraction_bridge():
+    cases = [case for case in sweep_weights() if case[0] in "BCGF"]
+    cases += [("G", 2, (0, 3)), ("F", 4, (1, 0, 0, 1)), ("B", 3, (2, 0, 2))]
+    compared = 0
+    for letter, rank, coeffs in cases:
+        rs = root_system(letter, rank)
+        sh = rs.short_system()
+        lam = rs.weight_of(coeffs)
+        shift = CH.hd_key(rs, H.lam_prime(rs, lam))
+        for key in short_block_keys(rs, lam):
+            got = CH.transport_short(rs, lam, key)
+            assert_same_weight(got, H.per_entry_add(H.i_sh_hd(rs, key), shift))
+            assert CH.hd_height(sh, key) == sh.alpha_den * fraction_height(sh, key)
+            assert CH.hd_height(rs, got) == rs.alpha_den * fraction_height(rs, got)
+            compared += 1
+    assert compared == 290
+
+
+def test_transport_short_rejects_a_key_off_the_short_coset(nsl_rs):
+    sh = nsl_rs.short_system()
+    lam = nsl_rs.weight_of((1,) * nsl_rs.rank)
+    top = DC.lam_bar_coeffs(nsl_rs, lam) + (0,)
+    # lam_bar - alpha_1 lies on the coset and lands on lam minus its namesake
+    on = tuple(a - b for a, b in zip(top, sh.simple_root(1)[1:]))
+    below = nsl_rs.sub(lam, nsl_rs.simple_root(nsl_rs.short_nodes[0]))
+    assert CH.transport_short(nsl_rs, lam, on) == CH.hd_key(nsl_rs, below)
+    # lam_bar + varpi_1 does not: no short system's root lattice holds varpi_1
+    off = (top[0] + 1,) + top[1:]
+    with pytest.raises(CH.CharacterError) as exc:
+        CH.transport_short(nsl_rs, lam, off)
+    assert str(exc.value) == f"short key {off} is not lam_bar minus a short root-lattice element"
 
 
 # -- the random-path generator ---------------------------------------------
