@@ -135,22 +135,6 @@ def generate_level_zero(rs: RootSystem, lam: Weight, cap: int = NODE_CAP) -> Cry
     return graph
 
 
-_LEVEL_ZERO_CACHE: dict = {}
-
-
-def level_zero_cached(rs: RootSystem, lam: Weight, cap: int = NODE_CAP) -> CrystalGraph:
-    """Shared read-only instances of the anchored level-zero crystals."""
-    key = (rs.letter, rs.rank, lam)
-    if key not in _LEVEL_ZERO_CACHE:
-        _LEVEL_ZERO_CACHE[key] = generate_level_zero(rs, lam, cap)
-    graph = _LEVEL_ZERO_CACHE[key]
-    if len(graph) > cap:
-        # a hit built under a larger cap; generation is deterministic, so a
-        # fresh build under this cap would fail
-        raise LimitError(f"node cap {cap} exceeded")
-    return graph
-
-
 def degree(graph: CrystalGraph, pos: int) -> int:
     """Negated null-root coefficient of the endpoint of an anchored node."""
     return -graph.nodes[pos].endpoint()[-1]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .characters import (
     Character,
@@ -34,7 +35,7 @@ from .crystals import (
     LimitError,
     classically_highest,
     degree,
-    level_zero_cached,
+    generate_level_zero,
 )
 from .demazure import block_char
 from .rootdata import RootSystem, Weight
@@ -128,7 +129,7 @@ def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
     for top, members in buckets.items():
         summed = Character(Counter(keys[pos] for pos in members))
         top_key = max(summed, key=lambda k: hd_height(rs, k))
-        mu, n = hd_finite_part(top_key), int(hd_delta(top_key))
+        mu, n = hd_finite_part(top_key), hd_delta(top_key)
         if any(c < 0 for c in mu):
             raise DecompositionError(f"component top {top_key} is not dominant")
         diff = summed.added(block_char(rs, Lambda[0], mu, n, cap), -1)
@@ -248,10 +249,16 @@ class VerifyReport:
         return all(self.checks.values())
 
 
+@lru_cache(maxsize=None)
+def _fundamental_size(rs: RootSystem, i: int, cap: int) -> int:
+    """Size of the level-zero crystal of varpi_i, built under the node cap ``cap``."""
+    return len(generate_level_zero(rs, rs.varpi(i), cap))
+
+
 def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
                 raise_cap: int = RAISE_CAP) -> VerifyReport:
     """Run all three routes for one weight and cross-check every identity."""
-    graph = level_zero_cached(rs, lam, cap)
+    graph = generate_level_zero(rs, lam, cap)
     keys = node_keys(rs, graph)  # read by routes (a) and (c) and the graded check
     a_char = path_side_char(rs, graph, keys)
 
@@ -273,7 +280,7 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
     prod = 1
     for i in rs.finite_nodes:
         if lam[i]:
-            prod *= len(level_zero_cached(rs, rs.varpi(i), cap)) ** lam[i]
+            prod *= _fundamental_size(rs, i, cap) ** lam[i]
     checks["dimension_product"] = prod == len(graph)
 
     # graded multiplicity series {mu: {m: mult}}: from the one decomposition

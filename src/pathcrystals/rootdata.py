@@ -34,12 +34,12 @@ def _chain_cartan(n: int) -> list[list[int]]:
 
 
 def _finite_tables(letter: str, rank: int):
-    """Finite Cartan matrix, theta marks, comarks, r, short nodes, tau data."""
+    """Finite Cartan matrix, theta marks, comarks, r and short nodes."""
     n = rank
     if letter == "A":
         if n < 1:
             raise RootDataError("type A needs rank >= 1")
-        return _chain_cartan(n), [1] * n, [1] * n, 1, (), None
+        return _chain_cartan(n), [1] * n, [1] * n, 1, ()
     if letter == "B":
         if n < 2:
             raise RootDataError("type B needs rank >= 2")
@@ -47,8 +47,7 @@ def _finite_tables(letter: str, rank: int):
         c[n - 1][n - 2] = -2  # <alpha_{n-1}, alpha_n^vee> = -2
         marks = [1] + [2] * (n - 1)
         comarks = [1] + [2] * (n - 2) + [1]
-        tau = tuple(range(n - 1, 1, -1)) + (0,) + tuple(range(1, n))
-        return c, marks, comarks, 2, (n,), (tau, n)
+        return c, marks, comarks, 2, (n,)
     if letter == "C":
         if n < 2:
             raise RootDataError("type C needs rank >= 2")
@@ -56,8 +55,7 @@ def _finite_tables(letter: str, rank: int):
         c[n - 2][n - 1] = -2  # <alpha_n, alpha_{n-1}^vee> = -2
         marks = [2] * (n - 1) + [1]
         comarks = [1] * n
-        tau = tuple(range(n, 0, -1)) + (0,)
-        return c, marks, comarks, 2, tuple(range(1, n)), (tau, 1)
+        return c, marks, comarks, 2, tuple(range(1, n))
     if letter == "D":
         if n < 4:
             raise RootDataError("type D needs rank >= 4")
@@ -69,18 +67,18 @@ def _finite_tables(letter: str, rank: int):
         c[n - 3][n - 1] = c[n - 1][n - 3] = -1
         c[n - 2][n - 1] = c[n - 1][n - 2] = 0
         marks = [1] + [2] * (n - 3) + [1, 1]
-        return c, marks, list(marks), 1, (), None
+        return c, marks, list(marks), 1, ()
     if letter == "G":
         if n != 2:
             raise RootDataError("type G needs rank 2")
         c = [[2, -1], [-3, 2]]  # node 1 long, node 2 short
-        return c, [2, 3], [2, 1], 3, (2,), ((1, 2, 0, 1), 2)
+        return c, [2, 3], [2, 1], 3, (2,)
     if letter == "F":
         if n != 4:
             raise RootDataError("type F needs rank 4")
         c = _chain_cartan(4)
         c[2][1] = -2  # <alpha_2, alpha_3^vee> = -2
-        return c, [2, 3, 4, 2], [2, 3, 2, 1], 2, (3, 4), ((2, 3, 1, 2, 3, 4, 0, 1, 2), 3)
+        return c, [2, 3, 4, 2], [2, 3, 2, 1], 2, (3, 4)
     if letter == "E":
         raise RootDataError("type E exceeds the supported rank table")
     raise RootDataError(f"unknown type letter {letter!r}")
@@ -112,7 +110,7 @@ class RootSystem:
     """
 
     def __init__(self, letter: str, rank: int):
-        cartan, marks, comarks, r, short_nodes, tau = _finite_tables(letter, rank)
+        cartan, marks, comarks, r, short_nodes = _finite_tables(letter, rank)
         self.letter = letter
         self.rank = rank
         self.finite_cartan = tuple(tuple(row) for row in cartan)
@@ -122,7 +120,6 @@ class RootSystem:
         self.nodes = range(rank + 1)
         self.finite_nodes = range(1, rank + 1)
         self.short_nodes = short_nodes
-        self._tau = tau
         # finite Cartan inverse, stored as integer numerators over one
         # denominator: the adjugate over the determinant
         self.alpha_den = _det(cartan)
@@ -160,9 +157,6 @@ class RootSystem:
         if sum(self.comarks[i] * -self.cartan[i][0] for i in range(1, n + 1)) != 2:
             raise RootDataError("marks/comarks tables are inconsistent")
 
-        if tau is not None:
-            self._check_tau()
-
     def __repr__(self):
         return f"RootSystem({self.letter}{self.rank})"
 
@@ -171,9 +165,6 @@ class RootSystem:
         return self.r == 1
 
     # -- weights ---------------------------------------------------------
-
-    def zero(self, cl: bool = False) -> Weight:
-        return (0,) * (self.rank + 1 + (0 if cl else 1))
 
     def simple_root(self, i: int, cl: bool = False) -> Weight:
         """alpha_i in the fundamental-weight basis; delta entry 1 iff i == 0."""
@@ -185,9 +176,6 @@ class RootSystem:
         if i not in self.nodes:
             raise RootDataError(f"unknown node index {i}")
         return tuple(1 if k == i else 0 for k in range(self.rank + 2))
-
-    def delta(self) -> Weight:
-        return tuple(0 for _ in range(self.rank + 1)) + (1,)
 
     def varpi(self, i: int) -> Weight:
         """Classical fundamental weight Lambda_i - a_i^vee Lambda_0, delta = 0."""
@@ -280,10 +268,6 @@ class RootSystem:
 
     # -- finite root enumeration ----------------------------------------
 
-    def positive_roots_alpha(self) -> tuple:
-        """Positive finite roots as coefficient tuples on (alpha_1..alpha_n)."""
-        return _positive_roots(self.finite_cartan)
-
     def positive_coroots(self) -> tuple:
         """Positive coroots as coefficient tuples on (alpha_1^vee..alpha_n^vee):
         the positive roots of the transposed Cartan matrix."""
@@ -312,35 +296,10 @@ class RootSystem:
 
     # -- short subsystem -------------------------------------------------
 
-    def _require_short(self):
+    def short_system(self) -> "RootSystem":
         if self.is_simply_laced:
             raise RootDataError("short-subsystem operations need a non-simply-laced type")
-
-    def short_system(self) -> "RootSystem":
-        self._require_short()
         return root_system("A", len(self.short_nodes))
-
-    def tau_data(self):
-        """Word over the affine nodes and the short node it transports to
-        the lowest short root level; hardcoded per type, validated on build."""
-        self._require_short()
-        if self._tau is None:
-            raise RootDataError("no tau word for this type")
-        return self._tau
-
-    def short_theta_alpha(self) -> Weight:
-        """Highest root of the short subsystem: sum of the short simple roots."""
-        self._require_short()
-        out = self.zero()
-        for i in self.short_nodes:
-            out = self.add(out, self.simple_root(i))
-        return out
-
-    def _check_tau(self):
-        word, j = self._tau
-        target = self.sub(self.delta(), self.short_theta_alpha())
-        if self.weyl_apply(word, self.simple_root(j)) != target:
-            raise RootDataError("tau word does not transport alpha_j correctly")
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -7,7 +8,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import pytest
 
 import helpers as H
+from pathcrystals import characters as CH
 from pathcrystals import crystals as C
+from pathcrystals import decompose as DC
 from pathcrystals import paths as P
 from pathcrystals.characters import Character
 from pathcrystals.rootdata import root_system
@@ -60,6 +63,32 @@ def sweep_weights():
         for coeffs in small_weights(root_system(letter, rank))
         if (letter, rank, coeffs) not in NOT_GENERATED
     ]
+
+
+@functools.cache
+def verify_requests():
+    """What verify_main asks for over the sweep and the large weights, in
+    one recorded pass: the (rs, mu) of every finite_char call and the
+    (rs, level, mu, m) of every block_char call, each in first-request order."""
+    finite, blocks = {}, {}
+    real_finite, real_block = CH.finite_char, DC.block_char
+
+    def finite_char(rs, mu):
+        finite[(rs, mu)] = None
+        return real_finite(rs, mu)
+
+    def block_char(rs, level, mu, m, cap=C.NODE_CAP):
+        blocks[(rs, level, tuple(mu), m)] = None
+        return real_block(rs, level, mu, m, cap)
+
+    CH.finite_char, DC.block_char = finite_char, block_char
+    try:
+        for letter, rank, coeffs in sweep_weights() + LARGE_WEIGHTS:
+            rs = root_system(letter, rank)
+            assert DC.verify_main(rs, rs.weight_of(coeffs)).ok
+    finally:
+        CH.finite_char, DC.block_char = real_finite, real_block
+    return list(finite), list(blocks)
 
 
 def two_call_closure(rs, seed, ops, cap, normalizer=None):

@@ -1,12 +1,15 @@
-"""Tools the tests share that the program itself never calls: paths built
-from fractional breakpoints and read pointwise, crystal reflections, the
-dominance order, a few weight, character and crystal readings, the record
-tree of the crystal JSON export, and the per-entry weight arithmetic, the
-Fraction division, the Fraction bridge to the short subsystem, the two-pass
-column and the random-path generator that the integer code replaced."""
+"""Tools the tests share that the program itself never calls: the tau words
+and the root enumeration that check the root tables, paths built from
+fractional breakpoints and read pointwise, crystal reflections, the
+dominance order, a few weight, character and crystal readings, a memo of
+the level-zero crystals, the record tree of the crystal JSON export, and
+the per-entry weight arithmetic, the Fraction division, the Fraction bridge
+to the short subsystem, the two-pass column and the random-path generator
+that the integer code replaced."""
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -17,7 +20,54 @@ from pathcrystals import decompose as DC
 from pathcrystals import paths as P
 from pathcrystals.characters import Character, hd_delta, hd_finite_part, hd_key
 from pathcrystals.cli import random_integral_path
-from pathcrystals.rootdata import RootDataError
+from pathcrystals.rootdata import RootDataError, _positive_roots
+
+# -- root data -------------------------------------------------------------
+
+def zero(rs, cl: bool = False):
+    """The zero weight of the affine lattice, or of the classical one."""
+    return (0,) * (rs.rank + 1 + (0 if cl else 1))
+
+
+def delta(rs):
+    """The null root."""
+    return (0,) * (rs.rank + 1) + (1,)
+
+
+def positive_roots_alpha(rs) -> tuple:
+    """Positive finite roots as coefficient tuples on (alpha_1..alpha_n)."""
+    return _positive_roots(rs.finite_cartan)
+
+
+def short_theta_alpha(rs):
+    """Highest root of the short subsystem: the sum of the short simple roots."""
+    out = zero(rs)
+    for i in rs.short_nodes:
+        out = rs.add(out, rs.simple_root(i))
+    return out
+
+
+def tau_data(rs):
+    """The word over the affine nodes and the short node j that it transports
+    to the lowest short root level, hardcoded per non-simply-laced type."""
+    n = rs.rank
+    words = {
+        "B": (tuple(range(n - 1, 1, -1)) + (0,) + tuple(range(1, n)), n),
+        "C": (tuple(range(n, 0, -1)) + (0,), 1),
+        "G": ((1, 2, 0, 1), 2),
+        "F": ((2, 3, 1, 2, 3, 4, 0, 1, 2), 3),
+    }
+    if rs.is_simply_laced:
+        raise RootDataError("no tau word for a simply laced type")
+    return words[rs.letter]
+
+
+def tau_transports(rs) -> bool:
+    """The tau word sends alpha_j to delta minus the short highest root."""
+    word, j = tau_data(rs)
+    target = rs.sub(delta(rs), short_theta_alpha(rs))
+    return rs.weyl_apply(word, rs.simple_root(j)) == target
+
 
 # -- weights and characters ------------------------------------------------
 
@@ -382,6 +432,10 @@ def weyl_act(rs, word, path: P.Path) -> P.Path:
 
 
 # -- crystals --------------------------------------------------------------
+
+# the level-zero crystals the tests read, each built once per process
+level_zero = functools.cache(C.generate_level_zero)
+
 
 def full_weight(graph, pos: int):
     return graph.nodes[pos].endpoint()

@@ -12,7 +12,7 @@ from pathcrystals import decompose as DC
 from pathcrystals import paths as P
 from pathcrystals.characters import decompose_hd, hd_finite_part, hd_key
 from pathcrystals.cli import check_operator_properties, random_integral_path
-from pathcrystals.crystals import classically_highest, degree, level_zero_cached
+from pathcrystals.crystals import classically_highest, degree
 from pathcrystals.demazure import (
     demazure_character,
     demazure_character_oracle,
@@ -60,7 +60,7 @@ RANDOM_PATH_TYPES = sorted({t for t, _ in SIMPLY_LACED_CASES + FUNDAMENTAL_CASES
 
 
 def path_char(rs, lam):
-    return DC.path_side_char(rs, level_zero_cached(rs, lam))
+    return DC.path_side_char(rs, H.level_zero(rs, lam))
 
 
 def report(criterion, label, ok):
@@ -105,18 +105,18 @@ def test_criterion_04_decomposition_multiset():
             for mu, m, mult in DC.weyl_filtration_multiset(rs, lam)
             for _ in range(mult)
         )
-        image = DC.decompose_tensor_image(rs, level_zero_cached(rs, lam))
+        image = DC.decompose_tensor_image(rs, H.level_zero(rs, lam))
         report(4, f"{letter}{rank} {coeffs}", blocks == image.multiset())
 
 
 def test_criterion_05_dimension_multiplicativity():
     for (letter, rank), coeffs in SIMPLY_LACED_CASES + FUNDAMENTAL_CASES + MAIN_CASES:
         rs = root_system(letter, rank)
-        total = len(level_zero_cached(rs, rs.weight_of(coeffs)))
+        total = len(H.level_zero(rs, rs.weight_of(coeffs)))
         prod = 1
         for i, c in zip(rs.finite_nodes, coeffs):
             if c:
-                prod *= len(level_zero_cached(rs, rs.varpi(i))) ** c
+                prod *= len(H.level_zero(rs, rs.varpi(i))) ** c
         report(5, f"{letter}{rank} {coeffs}: {total} nodes", total == prod)
 
 
@@ -183,7 +183,7 @@ def test_criterion_08_operator_property_suite():
     # exhaustive over every crystal the other criteria generate
     for (letter, rank), coeffs in SIMPLY_LACED_CASES + FUNDAMENTAL_CASES + MAIN_CASES:
         rs = root_system(letter, rank)
-        graph = level_zero_cached(rs, rs.weight_of(coeffs))
+        graph = H.level_zero(rs, rs.weight_of(coeffs))
         for pos, path in enumerate(graph.nodes):
             assert degree(graph, pos) <= 0
             _check_operator_properties(rs, path, check_counts=(pos % 7 == 0))
@@ -217,10 +217,9 @@ def test_criterion_09_short_subalgebra_identities():
         report(9, f"{letter}{rank} {coeffs} restriction identity", ok)
     for letter, rank in [("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("F", 4), ("G", 2)]:
         rs = root_system(letter, rank)
-        word, j = rs.tau_data()
-        target = rs.sub(rs.delta(), rs.short_theta_alpha())
-        cond_i = rs.weyl_apply(word, rs.simple_root(j)) == target
-        pos = rs.positive_roots_alpha()
+        word, _ = H.tau_data(rs)
+        cond_i = H.tau_transports(rs)
+        pos = H.positive_roots_alpha(rs)
         short_roots = set()
         for r in pos:
             if all(c == 0 for node, c in zip(rs.finite_nodes, r) if node not in rs.short_nodes):
@@ -238,7 +237,7 @@ def test_criterion_10_graded_multiplicities():
     for (letter, rank), coeffs in MAIN_CASES:
         rs = root_system(letter, rank)
         lam = rs.weight_of(coeffs)
-        graph = level_zero_cached(rs, lam)
+        graph = H.level_zero(rs, lam)
         graded = {}
         for (nu, m), mult in decompose_hd(rs, path_char(rs, lam)).items():
             graded.setdefault(nu, {})[m] = mult

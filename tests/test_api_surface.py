@@ -17,9 +17,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pathcrystals"
 
-# acceptance criterion 09 calls these RootSystem methods directly
-ALLOWED = {"tau_data", "positive_roots_alpha"}
-
 
 def _names(tree):
     return Counter(node.id if isinstance(node, ast.Name) else node.attr
@@ -33,7 +30,7 @@ def test_every_public_function_has_a_caller_in_src():
             for sub in (node.body if isinstance(node, ast.ClassDef) else [node])
             if isinstance(sub, ast.FunctionDef)]
     unused = [f"{module}: {fn.name}" for module, fn in defs
-              if not fn.name.startswith("_") and fn.name not in ALLOWED
+              if not fn.name.startswith("_")
               and refs[fn.name] == _names(fn)[fn.name]]
     assert unused == []
 

@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import helpers as H
-from conftest import ALL_TYPES, LARGE_WEIGHTS, finite_path_char, sweep_weights
+from conftest import ALL_TYPES, LARGE_WEIGHTS, finite_path_char, sweep_weights, verify_requests
 from pathcrystals import characters as CH
-from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
 from pathcrystals.characters import Character
 from pathcrystals.demazure import block_char, demazure_character, demazure_params
@@ -125,26 +124,8 @@ def test_finite_char_weyl_invariance():
         assert reflected == ch
 
 
-def _requested_finite_chars(monkeypatch, cases):
-    """Every (rs, mu) whose irreducible character decompose_hd asks for in
-    verify_main."""
-    requests = {}
-    cached = CH.finite_char
-
-    def recorded(rs, mu):
-        requests[(rs, mu)] = None
-        return cached(rs, mu)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(CH, "finite_char", recorded)
-        for letter, rank, coeffs in cases:
-            rs = root_system(letter, rank)
-            assert DC.verify_main(rs, rs.weight_of(coeffs)).ok
-    return list(requests)
-
-
-def test_finite_char_matches_the_path_crystal_on_verify_requests(monkeypatch):
-    requests = _requested_finite_chars(monkeypatch, sweep_weights() + LARGE_WEIGHTS)
+def test_finite_char_matches_the_path_crystal_on_verify_requests():
+    requests = verify_requests()[0]
     assert len(requests) == 119
     for rs, mu in requests:
         assert CH.finite_char(rs, mu) == finite_path_char(rs, mu), (rs, mu)
@@ -351,7 +332,7 @@ def test_lattice_predicates_match_the_fraction_versions():
     for letter, rank, coeffs in sweep_weights() + LARGE_WEIGHTS:
         rs = root_system(letter, rank)
         lam = rs.weight_of(coeffs)
-        keys = list(DC.path_side_char(rs, C.level_zero_cached(rs, lam)))
+        keys = list(DC.path_side_char(rs, H.level_zero(rs, lam)))
         lam_f = CH.finite_key(rs, lam)
         # each key against lam, against the first and the highest key, both ways
         anchors = [lam_f, keys[0][:-1], max(keys, key=lambda k: _hd_height_fractions(rs, k))[:-1]]

@@ -76,7 +76,7 @@ def test_a_failed_peel_exits_two(capsys, monkeypatch):
 def test_weights_of_unequal_length_exit_one(capsys, monkeypatch):
     # RootSystem.add and sub raise RootDataError, a ValueError, which main
     # reports as a configuration error naming both lengths
-    monkeypatch.setattr(cli, "run_selftest", lambda rs, seed: rs.add(rs.zero(), rs.zero(cl=True)))
+    monkeypatch.setattr(cli, "run_selftest", lambda rs, seed: rs.add(H.zero(rs), H.zero(rs, cl=True)))
     code, out, err = run(capsys, ["selftest", "--type", "G", "--rank", "2"])
     assert (code, out) == (1, "")
     assert err == "error: weights of lengths 4 and 3 do not combine\n"
@@ -112,6 +112,10 @@ def test_verify_weight_list(capsys):
     code, out, _ = run(capsys, ["verify", "--type", "C", "--rank", "2", "--weight", "1,0;0,1"])
     assert code == 0
     assert len(json.loads(out)["reports"]) == 2
+    # a repeated weight is built afresh and reports the same
+    code, out, _ = run(capsys, ["verify", "--type", "C", "--rank", "2", "--weight", "2,0;2,0"])
+    first, second = json.loads(out)["reports"]
+    assert code == 0 and first == second
 
 
 def test_demazure_character_output(capsys):
@@ -427,7 +431,7 @@ def test_crystal_writer_matches_json_dumps_of_the_records():
     assert len(cases) == 108
     for letter, rank, coeffs in cases:
         rs = root_system(letter, rank)
-        graph = C.level_zero_cached(rs, rs.weight_of(coeffs))
+        graph = H.level_zero(rs, rs.weight_of(coeffs))
         payload = H.graph_records(graph) | {"size": len(graph)}
         text = H.written_json(graph)[0]
         _assert_same_text(text, json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -438,7 +442,7 @@ def test_crystal_writer_matches_json_dumps_of_the_records():
 
 def test_crystal_writer_writes_a_large_crystal_in_several_chunks():
     rs = root_system("A", 4)
-    graph = C.level_zero_cached(rs, rs.weight_of((1, 1, 1, 1)))
+    graph = H.level_zero(rs, rs.weight_of((1, 1, 1, 1)))
     assert H.written_json(graph)[1] > 1
 
 

@@ -27,7 +27,7 @@ G2 = root_system("G", 2)
 
 
 def test_zero_path_is_fixed():
-    g = C._closure(A2, P.straight(A2.zero()), C.NODE_CAP)
+    g = C._closure(A2, P.straight(H.zero(A2)), C.NODE_CAP)
     assert len(g) == 1
 
 
@@ -65,15 +65,6 @@ def test_unnormalized_level_zero_blows_past_cap():
 
 # -- anchored level-zero generation ------------------------------------------
 
-def test_level_zero_cached_honours_the_cap_on_a_hit():
-    lam = C2.weight_of((1, 1))
-    graph = C.level_zero_cached(C2, lam)
-    assert len(graph) > 5
-    with pytest.raises(C.GenerationError, match="node cap 5 exceeded"):
-        C.level_zero_cached(C2, lam, 5)
-    assert C.level_zero_cached(C2, lam, len(graph)) is graph
-
-
 def test_level_zero_a1_fundamental():
     g = C.generate_level_zero(A1, A1.varpi(1))
     assert len(g) == 2
@@ -92,7 +83,7 @@ def test_level_zero_matches_projected_closure():
 
 
 def test_level_zero_trivial_weight():
-    g = C.generate_level_zero(A2, A2.zero())
+    g = C.generate_level_zero(A2, H.zero(A2))
     assert len(g) == 1
 
 
@@ -102,7 +93,7 @@ def test_d_lambda_values():
     assert C.d_lambda(A2, A2.weight_of((1, 1))) == 1
     assert C.d_lambda(C2, C2.weight_of((2, 2))) == 2
     with pytest.raises(ValueError):
-        C.d_lambda(A1, A1.zero())
+        C.d_lambda(A1, H.zero(A1))
 
 
 def test_d_lambda_against_affine_orbit():
@@ -167,7 +158,7 @@ def test_compatible_lift_check():
 
 
 def test_compatible_lift_check_vacuous_for_zero():
-    g = C.generate_level_zero(A2, A2.zero())
+    g = C.generate_level_zero(A2, H.zero(A2))
     assert H.compatible_lift_check(g) == []
 
 
@@ -194,7 +185,7 @@ def test_classically_highest_matches_path_statistics(any_rs):
         if (letter, rank) == (any_rs.letter, any_rs.rank)
     ]
     for lam in weights:
-        graph = C.level_zero_cached(any_rs, lam)
+        graph = H.level_zero(any_rs, lam)
         assert C.classically_highest(graph) == _classically_highest_by_eps(graph)
 
 
@@ -308,7 +299,7 @@ def test_one_pass_reflection_matches_the_two_pass_reference(monkeypatch):
     monkeypatch.setattr(P, "_reflected", checked)
     for letter, rank, coeffs in sweep_weights() + LARGE_WEIGHTS:
         rs = root_system(letter, rank)
-        for path in C.level_zero_cached(rs, rs.weight_of(coeffs)).nodes:
+        for path in H.level_zero(rs, rs.weight_of(coeffs)).nodes:
             for i in rs.nodes:
                 col = P.column(path, i)
                 assert P.eps_phi(rs, i, path, col) == P.eps_phi(rs, i, path)
@@ -360,9 +351,9 @@ def test_shift_matches_a_path_built_from_scratch():
     for letter, rank, coeffs in sweep_weights() + LARGE_WEIGHTS:
         rs = root_system(letter, rank)
         lam = rs.weight_of(coeffs)
-        weights = [H.scale(-2, rs.delta()), rs.delta(), rs.simple_root(0), lam,
+        weights = [H.scale(-2, H.delta(rs)), H.delta(rs), rs.simple_root(0), lam,
                    rs.simple_root(rank)]
-        for path in C.level_zero_cached(rs, lam).nodes:
+        for path in H.level_zero(rs, lam).nodes:
             for weight in weights:
                 got = P.shift(path, weight)
                 dirs = tuple(H.normalize_weight([a + b for a, b in zip(mu, weight)])
@@ -377,7 +368,7 @@ def test_columns_and_endpoint_match_the_vertex_columns():
     # paths once ran on construction
     for letter, rank, coeffs in sweep_weights() + LARGE_WEIGHTS:
         rs = root_system(letter, rank)
-        for path in C.level_zero_cached(rs, rs.weight_of(coeffs)).nodes:
+        for path in H.level_zero(rs, rs.weight_of(coeffs)).nodes:
             columns = H.vertex_columns(path)
             assert H.kernel_columns(path) == columns
             assert path.endpoint() == tuple(H._over(col[-1], path.ts[-1]) for col in columns)
@@ -388,7 +379,7 @@ def test_export_breakpoints_match_their_fractions():
     # Fraction forms they replaced, on every node of the sweep crystals
     for letter, rank, coeffs in sweep_weights():
         rs = root_system(letter, rank)
-        graph = C.level_zero_cached(rs, rs.weight_of(coeffs))
+        graph = H.level_zero(rs, rs.weight_of(coeffs))
         records = json.loads(H.written_json(graph)[0])["nodes"]
         for path, rec in zip(graph.nodes, records):
             sigmas = H.sigmas(path)

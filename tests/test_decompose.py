@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -41,7 +43,7 @@ def test_straight_seed_qualifies_iff_theta_pairing_small():
 
 
 def test_zero_weight_single_candidate():
-    graph = C.generate_level_zero(A2, A2.zero())
+    graph = C.generate_level_zero(A2, H.zero(A2))
     highest = H.highest_candidates(A2, A2.fundamental(0), graph)
     assert len(graph) == 1 and highest == [0]
 
@@ -57,7 +59,7 @@ def test_huge_thresholds_admit_everything():
 # -- tensor image ----------------------------------------------------------------
 
 def test_image_trivial_weight():
-    image = DC.decompose_tensor_image(A2, C.generate_level_zero(A2, A2.zero()))
+    image = DC.decompose_tensor_image(A2, C.generate_level_zero(A2, H.zero(A2)))
     assert image.multiset() == [((0, 0), 0)]
 
 
@@ -216,7 +218,7 @@ def test_walk_matches_raising_reference_on_small_weights(letter, rank):
     rs = root_system(letter, rank)
     for coeffs in _small_weights(rs):
         if (letter, rank, coeffs) not in NOT_GENERATED:
-            _assert_walk_matches_reference(rs, C.level_zero_cached(rs, rs.weight_of(coeffs)))
+            _assert_walk_matches_reference(rs, H.level_zero(rs, rs.weight_of(coeffs)))
 
 
 @pytest.mark.parametrize(
@@ -225,7 +227,7 @@ def test_walk_matches_raising_reference_on_small_weights(letter, rank):
 )
 def test_walk_matches_raising_reference_on_large_weights(letter, rank, coeffs):
     rs = root_system(letter, rank)
-    _assert_walk_matches_reference(rs, C.level_zero_cached(rs, rs.weight_of(coeffs)))
+    _assert_walk_matches_reference(rs, H.level_zero(rs, rs.weight_of(coeffs)))
 
 
 def _column_minimum_raised(rs, Lambda, graph, pos):
@@ -258,7 +260,7 @@ def test_raised_matches_the_column_minimum_rule(letter, rank):
     weights = [c for c in _small_weights(rs) if (letter, rank, c) not in NOT_GENERATED]
     weights += [c for lr, r, c in LARGE_WEIGHTS if (lr, r) == (letter, rank)]
     for coeffs in weights:
-        graph = C.level_zero_cached(rs, rs.weight_of(coeffs))
+        graph = H.level_zero(rs, rs.weight_of(coeffs))
         for Lambda in (rs.fundamental(0), H.scale(2, rs.fundamental(0))):
             for pos in range(len(graph)):
                 assert _outcome(DC._raised, rs, Lambda, graph, pos) == _outcome(
@@ -490,7 +492,7 @@ def test_partition_failure_names_the_positions(capsys, monkeypatch):
         return image
 
     monkeypatch.setattr(DC, "decompose_tensor_image", broken)
-    image = real(C2, C.level_zero_cached(C2, C2.weight_of((2, 0))))
+    image = real(C2, H.level_zero(C2, C2.weight_of((2, 0))))
     lost, twice = image.components[0].members[-1], image.components[1].members[0]
     code = cli.main(["verify", "--type", "C", "--rank", "2", "--weight", "2,0"])
     out, err = capsys.readouterr()
@@ -502,21 +504,39 @@ def test_partition_failure_names_the_positions(capsys, monkeypatch):
 
 def test_dimension_product_failure_names_both_sides(capsys, monkeypatch):
     # each fundamental crystal reads one node larger than it is
-    real = C.level_zero_cached
-    lam = C2.weight_of((1, 1))
-
-    def grown(rs, weight, cap=C.NODE_CAP):
-        graph = real(rs, weight, cap)
-        return graph if weight == lam else [None] * (len(graph) + 1)
-
-    monkeypatch.setattr(DC, "level_zero_cached", grown)
-    size = len(real(C2, lam))
-    product = (len(real(C2, C2.varpi(1))) + 1) * (len(real(C2, C2.varpi(2))) + 1)
+    real = DC._fundamental_size
+    monkeypatch.setattr(DC, "_fundamental_size", lambda rs, i, cap: real(rs, i, cap) + 1)
+    size = len(H.level_zero(C2, C2.weight_of((1, 1))))
+    sizes = [len(H.level_zero(C2, C2.varpi(i))) for i in (1, 2)]
+    product = (sizes[0] + 1) * (sizes[1] + 1)
     code = cli.main(["verify", "--type", "C", "--rank", "2", "--weight", "1,1"])
     out, err = capsys.readouterr()
     assert code == 2
     assert json.loads(out)["reports"][0]["checks"]["dimension_product"] is False
     assert f"verify [1, 1]: dimension_product: product {product}, crystal size {size}\n" in err
+
+
+def test_fundamental_size_honours_the_cap_on_a_hit():
+    assert DC._fundamental_size(C2, 1, C.NODE_CAP) == len(H.level_zero(C2, C2.varpi(1))) > 2
+    with pytest.raises(C.LimitError, match="node cap 2 exceeded"):
+        DC._fundamental_size(C2, 1, 2)
+
+
+def test_verify_main_keeps_no_graph_alive(monkeypatch):
+    # the fundamentals are memoized by size only, and lambda's graph is
+    # dropped when verify_main returns
+    built = []
+
+    def tracked(*args):
+        graph = C.generate_level_zero(*args)
+        built.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(DC, "generate_level_zero", tracked)
+    DC._fundamental_size.cache_clear()
+    assert DC.verify_main(C2, C2.weight_of((1, 1))).ok
+    gc.collect()
+    assert len(built) == 3 and all(ref() is None for ref in built)
 
 
 def test_verify_main_reports_graded_series():
@@ -624,7 +644,7 @@ def _pairwise_top_key(rs, keys):
 @pytest.mark.parametrize("rs,coeffs", MAIN_CASES, ids=lambda v: str(v))
 def test_argmax_picks_match_pairwise_scans(rs, coeffs):
     lam = rs.weight_of(coeffs)
-    graph = C.level_zero_cached(rs, lam)
+    graph = H.level_zero(rs, lam)
     a_char = DC.path_side_char(rs, graph)
     # the same picks in the same order
     picks = list(CH.decompose_hd(rs, a_char).items())

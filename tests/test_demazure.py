@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from conftest import LARGE_WEIGHTS, sweep_weights
+from conftest import verify_requests
 import helpers as H
 from helpers import dominance_leq
-from pathcrystals import decompose as DC
 from pathcrystals import demazure as D
 from pathcrystals import paths as P
 from pathcrystals.characters import Character, finite_char, hd_key
@@ -294,22 +293,6 @@ def test_graph_rejects_a_node_set_that_is_not_raising_stable(monkeypatch):
 
 # -- route (b) blocks by the character formula ----------------------------------------
 
-def _requested_blocks(monkeypatch, cases):
-    """Every (rs, level, mu, m) that verify_main asks block_char for."""
-    requests = {}
-
-    def recorded(rs, level, mu, m, cap=NODE_CAP):
-        requests[(rs, level, tuple(mu), m)] = None
-        return block_char(rs, level, mu, m, cap)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(DC, "block_char", recorded)
-        for letter, rank, coeffs in cases:
-            rs = root_system(letter, rank)
-            assert DC.verify_main(rs, rs.weight_of(coeffs)).ok
-    return list(requests)
-
-
 def _block_outcome(build, cap):
     try:
         return build(cap)
@@ -317,8 +300,8 @@ def _block_outcome(build, cap):
         return str(exc)
 
 
-def test_blocks_match_the_crystal_sum(monkeypatch):
-    blocks = _requested_blocks(monkeypatch, sweep_weights() + LARGE_WEIGHTS)
+def test_blocks_match_the_crystal_sum():
+    blocks = verify_requests()[1]
     # level one, and level r = 2, 3 on the short systems
     assert {level for _, level, _, _ in blocks} == {1, 2, 3}
     for rs, level, mu, m in blocks:

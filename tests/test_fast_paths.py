@@ -72,7 +72,7 @@ def test_fused_column_matches_two_pass_on_the_sweep_crystals():
     count = 0
     for letter, rank, coeffs in sweep_weights():
         rs = root_system(letter, rank)
-        for path in C.level_zero_cached(rs, rs.weight_of(coeffs)).nodes:
+        for path in H.level_zero(rs, rs.weight_of(coeffs)).nodes:
             assert set(assert_columns_agree(rs, path)) == {"ok"}
             count += 1
     assert count > 2000
@@ -183,7 +183,7 @@ def endpoint_samples():
     out += H.selftest_paths(A2, 0, 50)
     for letter, rank, coeffs in LARGE_WEIGHTS:
         rs = root_system(letter, rank)
-        out += C.level_zero_cached(rs, rs.weight_of(coeffs)).nodes[:300]
+        out += H.level_zero(rs, rs.weight_of(coeffs)).nodes[:300]
     return out
 
 
@@ -206,7 +206,7 @@ def test_add_and_sub_name_both_lengths():
     A2 = root_system("A", 2)
     for op in (A2.add, A2.sub):
         with pytest.raises(RootDataError, match="lengths 4 and 3"):
-            op(A2.zero(), A2.zero(cl=True))
+            op(H.zero(A2), H.zero(A2, cl=True))
 
 
 # -- moving short keys to the full lattice ---------------------------------

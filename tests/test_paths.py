@@ -19,8 +19,8 @@ G2 = root_system("G", 2)
 
 def test_canonical_form_merges_and_drops():
     w = A1.varpi(1)
-    p = H.make_path([w, w, A1.zero(), A1.zero()], [Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 1])
-    assert p.dirs == (w, A1.zero())
+    p = H.make_path([w, w, H.zero(A1), H.zero(A1)], [Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 1])
+    assert p.dirs == (w, H.zero(A1))
     assert H.sigmas(p) == (Fraction(1, 2), Fraction(1))
 
 
@@ -88,7 +88,7 @@ def test_integral_directions_keep_integer_numerators():
 def test_non_integral_input_raises():
     # int directions, but H_0 falls to -1/2 at t = 1/2 and stays there
     w = A1.varpi(1)
-    path = H.make_path([w, A1.zero()], [Fraction(1, 2), 1])
+    path = H.make_path([w, H.zero(A1)], [Fraction(1, 2), 1])
     with pytest.raises(P.PathError, match="not integral along node 0"):
         P.e_op(A1, 0, path)
 
@@ -110,7 +110,7 @@ def test_raising_blocked_at_dominant():
 
 def test_affine_raising_reflects_whole_path():
     out = P.e_op(A1, 0, P.straight(A1.varpi(1)))
-    expected = P.straight(A1.add(H.scale(-1, A1.varpi(1)), A1.delta()))
+    expected = P.straight(A1.add(H.scale(-1, A1.varpi(1)), H.delta(A1)))
     assert out == expected
 
 
@@ -280,12 +280,12 @@ def test_raising_with_flat_minimum_stretch():
     # profile 0 -> -1, flat at -1, back to 0: raise reflects only the descent
     w3 = H.scale(3, A1.varpi(1))
     p = H.make_path(
-        [H.scale(-1, w3), A1.zero(), w3],
+        [H.scale(-1, w3), H.zero(A1), w3],
         [Fraction(1, 3), Fraction(2, 3), 1],
     )
     assert H.min_h(A1, p, 1) == -1
     out = P.e_op(A1, 1, p)
-    assert out == H.make_path([w3, A1.zero(), w3], [Fraction(1, 3), Fraction(2, 3), 1])
+    assert out == H.make_path([w3, H.zero(A1), w3], [Fraction(1, 3), Fraction(2, 3), 1])
     assert out.endpoint() == A1.add(p.endpoint(), A1.simple_root(1))
 
 
@@ -293,7 +293,7 @@ def test_lowering_with_flat_minimum_stretch():
     # same tent: lowering reflects the final ascent, landing one level lower
     w3 = H.scale(3, A1.varpi(1))
     p = H.make_path(
-        [H.scale(-1, w3), A1.zero(), w3],
+        [H.scale(-1, w3), H.zero(A1), w3],
         [Fraction(1, 3), Fraction(2, 3), 1],
     )
     out = P.f_op(A1, 1, p)
