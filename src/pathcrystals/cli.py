@@ -139,17 +139,17 @@ def cmd_decompose(args):
     rs = _root_system(args)
     coeffs = _parse_weight(rs, args.weight)
     graph = C.generate_level_zero(rs, rs.weight_of(coeffs), args.node_cap)
-    image = DC.decompose_tensor_image(rs, graph, args.raise_cap, cap=args.node_cap)
+    components = DC.decompose_tensor_image(rs, graph, args.raise_cap, cap=args.node_cap)
     payload = {
         "components": [
             {"mu": list(comp.mu_coeffs), "n": comp.n, "size": len(comp.members)}
-            for comp in image.components
+            for comp in components
         ],
-        "checks": {"partition_size": sum(len(c.members) for c in image.components)},
+        "checks": {"partition_size": sum(len(c.members) for c in components)},
     }
     if args.nodes:
-        for comp, rec in zip(image.components, payload["components"]):
-            rec["nodes"] = [C.node_id(image.graph.nodes[p]) for p in comp.members]
+        for comp, rec in zip(components, payload["components"]):
+            rec["nodes"] = [C.node_id(graph.nodes[p]) for p in comp.members]
     rows = [("mu", "n", "size")] + [
         (r["mu"], r["n"], r["size"]) for r in payload["components"]
     ]

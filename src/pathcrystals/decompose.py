@@ -3,17 +3,19 @@
 Route (a) sums the full-lattice weights over the finite level-zero crystal.
 Route (b) peels the level-one block character of the short subsystem into
 level-r blocks and moves them back to the full lattice by their root-lattice
-differences from lam.  Route (c)
-concatenates the basic highest path onto every crystal element, follows the
-crystal's recorded raising edges to its component's top, and requires each
-component's key sum to be the level-one block named by its top key.  The
-headline checks are (a) = (b) as characters and (b) = (c) as multisets.
+differences from lam.  Route (c) concatenates the basic highest path onto
+every crystal element, follows the crystal's recorded raising edges to its
+component's top, and returns the components, each required to sum to the
+level-one block named by its top key.  The headline checks are (a) = (b) as
+characters and (b) = (c) as multisets; :func:`verify_main` keeps every check
+in one table of the differences its failure lines print.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .characters import (
@@ -79,20 +81,11 @@ class Component:
     top: int  # position of the component's top
 
 
-@dataclass
-class DemazureImage:
-    graph: CrystalGraph
-    components: list
-
-    def multiset(self):
-        return sorted((c.mu_coeffs, c.n) for c in self.components)
-
-
 def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
                            raise_cap: int = RAISE_CAP,
                            Lambda: Weight | None = None,
                            keys: list | None = None,
-                           cap: int = NODE_CAP) -> DemazureImage:
+                           cap: int = NODE_CAP) -> list:
     """Group the concatenations of the highest straight path of ``Lambda``
     with every element of the level-zero crystal ``graph`` by their
     component's top, reached by walking :func:`_raised`; an element that
@@ -137,7 +130,7 @@ def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
             raise DecompositionError(f"component {(mu, n)} differs from its block: "
                                      f"keys - block = {diff}")
         components.append(Component(mu, n, members, top))
-    return DemazureImage(graph, components)
+    return components
 
 
 # -- the short subsystem --------------------------------------------------------
@@ -208,7 +201,8 @@ def _short_projection_difference(rs: RootSystem, lam: Weight, full: Character,
 
 def short_restriction_identity(rs: RootSystem, lam: Weight, a_char: Character,
                                cap: int = NODE_CAP):
-    """Both short-projection identities, reported as (ok, detail lines).
+    """Both short-projection identities, reported as the detail lines of the
+    ones that fail.
 
     First: the part of the route (a) character ``a_char`` of lam supported
     below lam along short roots equals the transported level-one short block
@@ -222,7 +216,7 @@ def short_restriction_identity(rs: RootSystem, lam: Weight, a_char: Character,
     diff = short_demazure_identity(rs, lam, 0, cap)
     if diff:
         lines.append(f"block projection differs: {diff}")
-    return not lines, lines
+    return lines
 
 
 def short_demazure_identity(rs: RootSystem, lam: Weight, m: int,
@@ -239,10 +233,8 @@ def short_demazure_identity(rs: RootSystem, lam: Weight, m: int,
 class VerifyReport:
     crystal_size: int
     filtration: list
-    image_multiset: list
-    checks: dict
-    graded: dict
-    details: list = field(default_factory=list)  # why a check failed
+    checks: dict  # check name -> passed
+    details: list  # why a check failed: the difference of its two sides
 
     @property
     def ok(self) -> bool:
@@ -255,9 +247,16 @@ def _fundamental_size(rs: RootSystem, i: int, cap: int) -> int:
     return len(generate_level_zero(rs, rs.varpi(i), cap))
 
 
+def _failing(line: str, differs) -> list:
+    """A check's detail lines: ``line`` when its two sides differ, else none."""
+    return [line] if differs else []
+
+
 def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
                 raise_cap: int = RAISE_CAP) -> VerifyReport:
-    """Run all three routes for one weight and cross-check every identity."""
+    """Run all three routes for one weight and cross-check every identity:
+    one table maps each check to the lines naming the difference of its two
+    sides, and a check passes when it has none."""
     graph = generate_level_zero(rs, lam, cap)
     keys = node_keys(rs, graph)  # read by routes (a) and (c) and the graded check
     a_char = path_side_char(rs, graph, keys)
@@ -265,23 +264,18 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
     filtration = weyl_filtration_multiset(rs, lam, cap)
     b_char = filtration_char(rs, filtration, cap)
 
-    image = decompose_tensor_image(rs, graph, raise_cap, keys=keys, cap=cap)
-    b_multiset = sorted(
-        (mu, m) for mu, m, mult in filtration for _ in range(mult)
-    )
+    components = decompose_tensor_image(rs, graph, raise_cap, keys=keys, cap=cap)
 
-    members = Counter(p for comp in image.components for p in comp.members)
-    checks = {
-        "char_a_eq_b": a_char == b_char,
-        "multiset_b_eq_c": b_multiset == image.multiset(),
-        "partition": sorted(members.elements()) == list(range(len(graph))),
-    }
-
-    prod = 1
-    for i in rs.finite_nodes:
-        if lam[i]:
-            prod *= _fundamental_size(rs, i, cap) ** lam[i]
-    checks["dimension_product"] = prod == len(graph)
+    a_minus_b = a_char.added(b_char, -1)
+    b_count = Counter((mu, m) for mu, m, mult in filtration for _ in range(mult))
+    c_count = Counter((comp.mu_coeffs, comp.n) for comp in components)
+    b_minus_c = sorted((b_count - c_count).elements())
+    c_minus_b = sorted((c_count - b_count).elements())
+    # a repeated position is listed more than once, or is no crystal position
+    members = Counter(p for comp in components for p in comp.members)
+    missing = sorted(Counter(range(len(graph))) - members)
+    repeated = sorted(members - Counter(range(len(graph))))
+    prod = math.prod(_fundamental_size(rs, i, cap) ** lam[i] for i in rs.finite_nodes if lam[i])
 
     # graded multiplicity series {mu: {m: mult}}: from the one decomposition
     # of route (a), and directly from the classically highest elements
@@ -293,36 +287,26 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
         series = direct.setdefault(hd_finite_part(keys[pos]), {})
         deg = -degree(graph, pos)
         series[deg] = series.get(deg, 0) + 1
-    checks["graded_multiplicities"] = graded == direct
+    differ = {mu: (graded.get(mu), direct.get(mu)) for mu in sorted(graded.keys() | direct.keys())
+              if graded.get(mu) != direct.get(mu)}
 
-    # why a check failed: the difference of its two sides
-    details = []
-    if not checks["char_a_eq_b"]:
-        details.append(f"char_a_eq_b: a - b = {a_char.added(b_char, -1)}")
-    if not checks["multiset_b_eq_c"]:
-        b_count, c_count = Counter(b_multiset), Counter(image.multiset())
-        details.append(f"multiset_b_eq_c: b - c = {sorted((b_count - c_count).elements())}, "
-                       f"c - b = {sorted((c_count - b_count).elements())}")
-    if not checks["partition"]:
-        missing = [p for p in range(len(graph)) if p not in members]
-        repeated = sorted(p for p, count in members.items() if count > 1)
-        details.append(f"partition: missing positions {missing}, repeated positions {repeated}")
-    if not checks["dimension_product"]:
-        details.append(f"dimension_product: product {prod}, crystal size {len(graph)}")
-    if not checks["graded_multiplicities"]:
-        differ = {mu: (graded.get(mu), direct.get(mu)) for mu in graded.keys() | direct.keys()}
-        differ = {mu: pair for mu, pair in sorted(differ.items()) if pair[0] != pair[1]}
-        details.append(f"graded_multiplicities: (decomposition, highest elements) = {differ}")
+    table = {
+        "char_a_eq_b": _failing(f"char_a_eq_b: a - b = {a_minus_b}", a_minus_b),
+        "multiset_b_eq_c": _failing(f"multiset_b_eq_c: b - c = {b_minus_c}, c - b = {c_minus_b}",
+                                    b_minus_c or c_minus_b),
+        "partition": _failing(f"partition: missing positions {missing}, "
+                              f"repeated positions {repeated}", missing or repeated),
+        "dimension_product": _failing(f"dimension_product: product {prod}, "
+                                      f"crystal size {len(graph)}", prod != len(graph)),
+        "graded_multiplicities": _failing(
+            f"graded_multiplicities: (decomposition, highest elements) = {differ}", differ),
+    }
     if not rs.is_simply_laced:
-        ok, lines = short_restriction_identity(rs, lam, a_char, cap)
-        checks["short_restriction"] = ok
-        details += lines
+        table["short_restriction"] = short_restriction_identity(rs, lam, a_char, cap)
 
     return VerifyReport(
         crystal_size=len(graph),
         filtration=filtration,
-        image_multiset=image.multiset(),
-        checks=checks,
-        graded=graded,
-        details=details,
+        checks={name: not lines for name, lines in table.items()},
+        details=[line for lines in table.values() for line in lines],
     )

@@ -1,11 +1,14 @@
-"""Demazure crystals as path sets, and their characters two independent ways.
+"""Demazure crystals as path sets, and their characters by the Demazure
+character formula.
 
 A Demazure crystal is built by applying full lowering strings along a word
-inside the path model of the ambient highest-weight crystal; its character
-is the plain weight sum over the node set.  The Demazure character formula,
-``characters.demazure_operator``, builds the same character sharing nothing
-with the crystal but the word.  The formula builds the route (b) blocks; the
-crystal sum is the ``demazure`` command's engine and the formula's reference.
+inside the path model of the ambient highest-weight crystal; it is the graph
+that ``demazure --format dot`` draws.  Its character, the plain weight sum
+over the node set, is computed by the Demazure character formula,
+``characters.demazure_operator``, which shares nothing with the crystal but
+the word.  The formula is the one engine of the ``demazure`` command and of
+the route (b) blocks; the tests keep the crystal's weight sum as its
+reference.
 """
 
 from __future__ import annotations
@@ -121,40 +124,26 @@ def demazure_graph(spec: DemazureSpec, cap: int = NODE_CAP) -> CrystalGraph:
 
 def demazure_character(spec: DemazureSpec, restrict_to_hd: bool = False,
                        cap: int = NODE_CAP) -> Character:
-    """Weight sum over the Demazure crystal's nodes."""
-    ch = Character()
-    for path in demazure_crystal(spec, cap):
-        ch.add_term(path.endpoint(), 1)
-    if restrict_to_hd:
-        ch = restrict_hd(spec.rs, ch)
-    return ch
+    """The Demazure crystal's character by the Demazure operators of the word
+    applied to e^Lambda.
+
+    The cap bounds the crystal's node count, the character's mass, as it
+    bounds the string closures of :func:`demazure_crystal`, which count only
+    the nodes the strings add: a one-node crystal passes any cap.
+    """
+    ch = demazure_operator(spec.rs, spec.word, Character.monomial(spec.Lambda))
+    mass = ch.mass()
+    if mass > cap and mass > 1:
+        raise LimitError(f"node cap {cap} exceeded")
+    return restrict_hd(spec.rs, ch) if restrict_to_hd else ch
 
 
 @lru_cache(maxsize=None)
-def _block_char(rs: RootSystem, level: int, mu: tuple, m: int) -> Character:
-    return demazure_character_oracle(demazure_params(rs, level, mu, m), restrict_to_hd=True)
+def _block_char(rs: RootSystem, level: int, mu: tuple, m: int, cap: int) -> Character:
+    return demazure_character(demazure_params(rs, level, mu, m), True, cap)
 
 
 def block_char(rs: RootSystem, level: int, mu, m: int, cap: int = NODE_CAP) -> Character:
     """Restricted character of the level-``level`` block with top key
-    ``mu + m delta``, by the Demazure character formula; the caller gets its
-    own copy.
-
-    The cap bounds the block's node count, its mass, as it bounds the string
-    closures of :func:`demazure_character`, which count only the nodes the
-    strings add: a one-node block passes any cap.
-    """
-    ch = _block_char(rs, level, tuple(mu), m)
-    mass = ch.mass()
-    if mass > cap and mass > 1:
-        raise LimitError(f"node cap {cap} exceeded")
-    return Character(ch)
-
-
-def demazure_character_oracle(spec: DemazureSpec, restrict_to_hd: bool = False) -> Character:
-    """The same character by the Demazure operators of the word applied to
-    e^Lambda, which share only the word with the crystal."""
-    ch = demazure_operator(spec.rs, spec.word, Character.monomial(spec.Lambda))
-    if restrict_to_hd:
-        ch = restrict_hd(spec.rs, ch)
-    return ch
+    ``mu + m delta``, memoised per node cap; the caller gets its own copy."""
+    return Character(_block_char(rs, level, tuple(mu), m, cap))

@@ -2,7 +2,8 @@
 and the root enumeration that check the root tables, paths built from
 fractional breakpoints and read pointwise, crystal reflections, the
 dominance order, a few weight, character and crystal readings, a memo of
-the level-zero crystals, the record tree of the crystal JSON export, and
+the level-zero crystals, the Demazure crystal's weight sum that the
+character formula replaced, the record tree of the crystal JSON export, and
 the per-entry weight arithmetic, the Fraction division, the Fraction bridge
 to the short subsystem, the two-pass column and the random-path generator
 that the integer code replaced."""
@@ -17,8 +18,9 @@ from operator import mul
 
 from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
+from pathcrystals import demazure as D
 from pathcrystals import paths as P
-from pathcrystals.characters import Character, hd_delta, hd_finite_part, hd_key
+from pathcrystals.characters import Character, hd_delta, hd_finite_part, hd_key, restrict_hd
 from pathcrystals.cli import random_integral_path
 from pathcrystals.rootdata import RootDataError, _positive_roots
 
@@ -455,6 +457,21 @@ def compatible_lift_check(graph) -> list:
         if i == 0 and (pos, 0) in graph.e_edges and shift != 0:
             bad.append(("affine", pos, 0, shift))
     return bad
+
+
+def demazure_crystal_sum(spec, restrict_to_hd: bool = False, cap: int = C.NODE_CAP) -> Character:
+    """Weight sum over the Demazure crystal's nodes: the reference for the
+    character formula ``demazure.demazure_character``, built under ``cap`` by
+    the string closures."""
+    ch = Character()
+    for path in D.demazure_crystal(spec, cap):
+        ch.add_term(path.endpoint(), 1)
+    return restrict_hd(spec.rs, ch) if restrict_to_hd else ch
+
+
+def component_multiset(components) -> list:
+    """The sorted (mu coefficients, grading shift) of route (c)'s components."""
+    return sorted((c.mu_coeffs, c.n) for c in components)
 
 
 def highest_candidates(rs, Lambda, graph) -> list:

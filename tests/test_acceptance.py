@@ -15,7 +15,6 @@ from pathcrystals.cli import check_operator_properties, random_integral_path
 from pathcrystals.crystals import classically_highest, degree
 from pathcrystals.demazure import (
     demazure_character,
-    demazure_character_oracle,
     demazure_crystal,
     demazure_crystal_for_word,
     demazure_params,
@@ -105,8 +104,8 @@ def test_criterion_04_decomposition_multiset():
             for mu, m, mult in DC.weyl_filtration_multiset(rs, lam)
             for _ in range(mult)
         )
-        image = DC.decompose_tensor_image(rs, H.level_zero(rs, lam))
-        report(4, f"{letter}{rank} {coeffs}", blocks == image.multiset())
+        components = DC.decompose_tensor_image(rs, H.level_zero(rs, lam))
+        report(4, f"{letter}{rank} {coeffs}", blocks == H.component_multiset(components))
 
 
 def test_criterion_05_dimension_multiplicativity():
@@ -129,7 +128,7 @@ def test_criterion_06_demazure_oracle_equivalence():
         specs.extend(pool[:20])
     assert len(specs) >= 50
     for spec in specs:
-        ok = demazure_character(spec) == demazure_character_oracle(spec)
+        ok = H.demazure_crystal_sum(spec) == demazure_character(spec)
         assert ok, f"oracle mismatch at {spec.rs} {spec.lam_coeffs} {spec.word}"
     report(6, f"{len(specs)} random specs", True)
 
@@ -213,8 +212,8 @@ def test_criterion_09_short_subalgebra_identities():
     for (letter, rank), coeffs in MAIN_CASES:
         rs = root_system(letter, rank)
         lam = rs.weight_of(coeffs)
-        ok, lines = DC.short_restriction_identity(rs, lam, path_char(rs, lam))
-        report(9, f"{letter}{rank} {coeffs} restriction identity", ok)
+        lines = DC.short_restriction_identity(rs, lam, path_char(rs, lam))
+        report(9, f"{letter}{rank} {coeffs} restriction identity", lines == [])
     for letter, rank in [("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("F", 4), ("G", 2)]:
         rs = root_system(letter, rank)
         word, _ = H.tau_data(rs)

@@ -1,5 +1,5 @@
 """Every public function and method in ``src/`` has a caller in ``src/``,
-and ``src/`` computes with ints only.
+``src/`` computes with ints only, and no check in ``src/`` is an ``assert``.
 
 The scan collects every ``Name`` and ``Attribute`` reference in
 ``src/pathcrystals/*.py``; a public module-level function or method fails
@@ -8,7 +8,9 @@ not bindings, so a name collision (a method ``value`` and any variable
 ``value``) can hide an unused name.  Test-only tools live in
 ``tests/helpers.py``.  A second scan keeps ``fractions`` out of every
 module: weights and path directions are int tuples, so the program has one
-kind of arithmetic, and the Fraction references live in ``tests/``.
+kind of arithmetic, and the Fraction references live in ``tests/``.  A third
+scan finds every ``assert`` statement in ``src/``: ``python -O`` strips them,
+and the program's invariants must hold under it, so a check raises instead.
 """
 
 import ast
@@ -43,3 +45,10 @@ def test_the_path_kernel_names_no_fractions():
         names = set(_names(tree)) | {alias.name for node in imports for alias in node.names}
         names |= {node.module for node in imports if isinstance(node, ast.ImportFrom)}
         assert not names & {"fractions", "Fraction"}, path.name
+
+
+def test_src_holds_no_assert_statement():
+    for path in sorted(SRC.glob("*.py")):
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert lines == [], path.name

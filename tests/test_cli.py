@@ -84,9 +84,8 @@ def test_weights_of_unequal_length_exit_one(capsys, monkeypatch):
 
 def _shift_first_component(real):
     def patched(*args, **kwargs):
-        image = real(*args, **kwargs)
-        first = dataclasses.replace(image.components[0], n=image.components[0].n + 7)
-        return DC.DemazureImage(image.graph, [first] + image.components[1:])
+        first, *rest = real(*args, **kwargs)
+        return [dataclasses.replace(first, n=first.n + 7)] + rest
     return patched
 
 
@@ -98,7 +97,10 @@ def _shift_first_component(real):
      "multiset_b_eq_c: b - c = [((1, 0), 0)], c - b = [((1, 0), 7)]"),
     ("graded_multiplicities", "classically_highest", lambda real: lambda graph: [],
      "graded_multiplicities: (decomposition, highest elements) = {(1, 0): ({0: 1}, None)}"),
-], ids=["char_a_eq_b", "multiset_b_eq_c", "graded_multiplicities"])
+    ("short_restriction", "short_demazure_identity",
+     lambda real: lambda *a: Character.monomial((0, 0, 5)),
+     "block projection differs: {(0, 0, 5): 1}"),
+], ids=["char_a_eq_b", "multiset_b_eq_c", "graded_multiplicities", "short_restriction"])
 def test_verify_failure_says_which_sides_differ(capsys, monkeypatch, check, name, patch, line):
     monkeypatch.setattr(DC, name, patch(getattr(DC, name)))
     code, out, err = run(capsys, ["verify", "--type", "C", "--rank", "2", "--weight", "1,0"])
@@ -106,6 +108,26 @@ def test_verify_failure_says_which_sides_differ(capsys, monkeypatch, check, name
     checks = json.loads(out)["reports"][0]["checks"]
     assert [k for k, ok in checks.items() if not ok] == [check]
     assert err.splitlines() == [f"verify [1, 0]: {line}"]
+
+
+def test_verify_failure_lines_follow_the_check_table(capsys, monkeypatch):
+    # stdout sorts the checks by name; stderr keeps the table's order
+    monkeypatch.setattr(DC, "decompose_tensor_image",
+                        _shift_first_component(DC.decompose_tensor_image))
+    monkeypatch.setattr(DC, "classically_highest", lambda graph: [])
+    monkeypatch.setattr(DC, "short_demazure_identity",
+                        lambda *a: Character.monomial((0, 0, 5)))
+    code, out, err = run(capsys, ["verify", "--type", "C", "--rank", "2", "--weight", "1,0"])
+    assert code == 2
+    checks = json.loads(out)["reports"][0]["checks"]
+    assert [k for k, ok in checks.items() if not ok] == \
+        ["graded_multiplicities", "multiset_b_eq_c", "short_restriction"]
+    assert err.splitlines() == [
+        "verify [1, 0]: multiset_b_eq_c: b - c = [((1, 0), 0)], c - b = [((1, 0), 7)]",
+        "verify [1, 0]: graded_multiplicities: (decomposition, highest elements) = "
+        "{(1, 0): ({0: 1}, None)}",
+        "verify [1, 0]: block projection differs: {(0, 0, 5): 1}",
+    ]
 
 
 def test_verify_weight_list(capsys):

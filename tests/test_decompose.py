@@ -59,8 +59,8 @@ def test_huge_thresholds_admit_everything():
 # -- tensor image ----------------------------------------------------------------
 
 def test_image_trivial_weight():
-    image = DC.decompose_tensor_image(A2, C.generate_level_zero(A2, H.zero(A2)))
-    assert image.multiset() == [((0, 0), 0)]
+    components = DC.decompose_tensor_image(A2, C.generate_level_zero(A2, H.zero(A2)))
+    assert H.component_multiset(components) == [((0, 0), 0)]
 
 
 @pytest.mark.parametrize(
@@ -69,8 +69,8 @@ def test_image_trivial_weight():
 )
 def test_image_simply_laced_single_component(letter, rank, coeffs):
     rs = root_system(letter, rank)
-    image = DC.decompose_tensor_image(rs, C.generate_level_zero(rs, rs.weight_of(coeffs)))
-    assert image.multiset() == [(coeffs, 0)]
+    components = DC.decompose_tensor_image(rs, C.generate_level_zero(rs, rs.weight_of(coeffs)))
+    assert H.component_multiset(components) == [(coeffs, 0)]
 
 
 @pytest.mark.parametrize(
@@ -80,33 +80,32 @@ def test_image_simply_laced_single_component(letter, rank, coeffs):
 def test_image_fundamental_single_component(letter, rank, i):
     rs = root_system(letter, rank)
     coeffs = tuple(1 if k == i else 0 for k in rs.finite_nodes)
-    image = DC.decompose_tensor_image(rs, C.generate_level_zero(rs, rs.weight_of(coeffs)))
-    assert image.multiset() == [(coeffs, 0)]
+    components = DC.decompose_tensor_image(rs, C.generate_level_zero(rs, rs.weight_of(coeffs)))
+    assert H.component_multiset(components) == [(coeffs, 0)]
 
 
 def test_image_component_count_matches_candidates():
-    lam = C2.weight_of((2, 0))
-    image = DC.decompose_tensor_image(C2, C.generate_level_zero(C2, lam))
-    highest = H.highest_candidates(C2, C2.fundamental(0), image.graph)
-    assert len(image.components) == len(highest)
-    members = sorted(p for comp in image.components for p in comp.members)
-    assert members == list(range(len(image.graph)))
+    graph = C.generate_level_zero(C2, C2.weight_of((2, 0)))
+    components = DC.decompose_tensor_image(C2, graph)
+    highest = H.highest_candidates(C2, C2.fundamental(0), graph)
+    assert len(components) == len(highest)
+    members = sorted(p for comp in components for p in comp.members)
+    assert members == list(range(len(graph)))
 
 
 def test_image_components_carry_block_characters():
     # each component's shifted weight multiset is exactly the character of
-    # the block its top key names, node for node
-    from pathcrystals.demazure import demazure_character, demazure_params
+    # the block its top key names, node for node, read off the Demazure crystal
+    from pathcrystals.demazure import demazure_params
 
     for rs, coeffs in [(C2, (2, 0)), (G2, (0, 2)), (C2, (1, 1))]:
-        lam = rs.weight_of(coeffs)
-        image = DC.decompose_tensor_image(rs, C.generate_level_zero(rs, lam))
-        for comp in image.components:
+        graph = C.generate_level_zero(rs, rs.weight_of(coeffs))
+        for comp in DC.decompose_tensor_image(rs, graph):
             spec = demazure_params(rs, 1, comp.mu_coeffs, comp.n)
-            block = demazure_character(spec, restrict_to_hd=True)
+            block = H.demazure_crystal_sum(spec, restrict_to_hd=True)
             got = Character()
             for pos in comp.members:
-                key = hd_key(rs, H.full_weight(image.graph, pos))
+                key = hd_key(rs, H.full_weight(graph, pos))
                 got[key] += 1
             got = Character({k: v for k, v in got.items() if v})
             assert got == block
@@ -117,20 +116,21 @@ def test_image_components_carry_block_characters():
 
 def test_image_level_two_base():
     # with the doubled base weight the components are level-two blocks;
-    # their member weight multisets must match those block characters exactly
-    from pathcrystals.demazure import demazure_character, demazure_params
+    # their member weight multisets must match those block characters exactly,
+    # read off the Demazure crystals
+    from pathcrystals.demazure import demazure_params
 
     for rs, coeffs in [(C2, (1, 0)), (A2, (1, 1)), (G2, (0, 1))]:
-        lam = rs.weight_of(coeffs)
+        graph = C.generate_level_zero(rs, rs.weight_of(coeffs))
         Lambda = H.scale(2, rs.fundamental(0))
-        image = DC.decompose_tensor_image(rs, C.generate_level_zero(rs, lam), Lambda=Lambda)
-        assert sum(len(c.members) for c in image.components) == len(image.graph)
-        for comp in image.components:
+        components = DC.decompose_tensor_image(rs, graph, Lambda=Lambda)
+        assert sum(len(c.members) for c in components) == len(graph)
+        for comp in components:
             spec = demazure_params(rs, 2, comp.mu_coeffs, comp.n)
-            block = demazure_character(spec, restrict_to_hd=True)
+            block = H.demazure_crystal_sum(spec, restrict_to_hd=True)
             got = Character()
             for pos in comp.members:
-                key = hd_key(rs, H.full_weight(image.graph, pos))
+                key = hd_key(rs, H.full_weight(graph, pos))
                 got[key] += 1
             got = Character({k: v for k, v in got.items() if v})
             assert got == block
@@ -144,15 +144,14 @@ def test_image_rejects_bad_base():
 
 
 def test_image_unique_killed_member_per_component():
-    lam = G2.weight_of((0, 2))
-    image = DC.decompose_tensor_image(G2, C.generate_level_zero(G2, lam))
+    graph = C.generate_level_zero(G2, G2.weight_of((0, 2)))
     base = P.straight(G2.fundamental(0))
-    for comp in image.components:
+    for comp in DC.decompose_tensor_image(G2, graph):
         killed = [
             pos
             for pos in comp.members
             if all(
-                P.eps_phi(G2, i, P.concat(base, image.graph.nodes[pos]))[0] == 0
+                P.eps_phi(G2, i, P.concat(base, graph.nodes[pos]))[0] == 0
                 for i in G2.nodes
             )
         ]
@@ -194,15 +193,15 @@ def _reference_components(rs, graph, Lambda):
 
 def _assert_walk_matches_reference(rs, graph):
     for Lambda in (rs.fundamental(0), H.scale(2, rs.fundamental(0))):
-        image = DC.decompose_tensor_image(rs, graph, Lambda=Lambda)
+        components = DC.decompose_tensor_image(rs, graph, Lambda=Lambda)
         want = _reference_components(rs, graph, Lambda)
         assert [(P.concat(P.straight(Lambda), graph.nodes[c.top]), c.members)
-                for c in image.components] == want
+                for c in components] == want
         tops = [
             _pairwise_top_key(rs, [hd_key(rs, H.full_weight(graph, pos)) for pos in members])
             for _, members in want
         ]
-        assert image.multiset() == sorted((k[:-1], k[-1]) for k in tops)
+        assert H.component_multiset(components) == sorted((k[:-1], k[-1]) for k in tops)
 
 
 def test_small_weights_are_the_101_generating_ones():
@@ -283,8 +282,7 @@ def test_image_calls_no_path_function(monkeypatch):
     assert {"e_op", "f_op", "eps_phi", "concat"} <= set(functions)
     for name, fn in functions.items():
         monkeypatch.setattr(P, name, counted(name, fn))
-    image = DC.decompose_tensor_image(C2, graph)
-    assert image.components and calls == []
+    assert DC.decompose_tensor_image(C2, graph) and calls == []
 
 
 def test_image_rejects_a_shifted_raising_edge():
@@ -369,20 +367,20 @@ def test_sh_embed_bijection_onto_short_cone(letter, rank, coeffs):
 def test_short_restriction_identity_fundamentals(letter, rank, coeffs):
     rs = root_system(letter, rank)
     lam = rs.weight_of(coeffs)
-    ok, lines = DC.short_restriction_identity(
+    lines = DC.short_restriction_identity(
         rs, lam, DC.path_side_char(rs, C.generate_level_zero(rs, lam))
     )
-    assert ok, lines
+    assert lines == []
 
 
 def test_short_restriction_trivial_bar():
     # a weight supported on long nodes only restricts to zero
     lam = C2.weight_of((0, 2))
     assert DC.lam_bar_coeffs(C2, lam) == (0,)
-    ok, lines = DC.short_restriction_identity(
+    lines = DC.short_restriction_identity(
         C2, lam, DC.path_side_char(C2, C.generate_level_zero(C2, lam))
     )
-    assert ok, lines
+    assert lines == []
 
 
 def test_short_demazure_identity_with_shift():
@@ -425,18 +423,22 @@ def test_known_filtrations():
 # -- the full report -----------------------------------------------------------------
 
 def test_verify_main_simply_laced():
-    rep = DC.verify_main(A2, A2.weight_of((1, 1)))
+    lam = A2.weight_of((1, 1))
+    rep = DC.verify_main(A2, lam)
     assert rep.ok
-    assert rep.image_multiset == [((1, 1), 0)]
+    assert H.component_multiset(DC.decompose_tensor_image(A2, H.level_zero(A2, lam))) == \
+        [((1, 1), 0)]
     assert rep.filtration == [((1, 1), 0, 1)]
 
 
 def test_verify_main_fundamentals_agree_three_ways():
     for rs, coeffs in [(C2, (1, 0)), (G2, (0, 1))]:
-        rep = DC.verify_main(rs, rs.weight_of(coeffs))
+        lam = rs.weight_of(coeffs)
+        rep = DC.verify_main(rs, lam)
         assert rep.ok
         assert rep.filtration == [(coeffs, 0, 1)]
-        assert rep.image_multiset == [(coeffs, 0)]
+        components = DC.decompose_tensor_image(rs, H.level_zero(rs, lam))
+        assert H.component_multiset(components) == [(coeffs, 0)]
 
 
 def test_verify_main_builds_route_a_once(monkeypatch):
@@ -459,13 +461,13 @@ def test_verify_main_builds_the_level_one_block_once(monkeypatch):
     from pathcrystals import demazure as D
 
     builds = []
-    build = D.demazure_character_oracle
+    build = D.demazure_character
 
     def counted(spec, *args, **kwargs):
         builds.append((spec.level, spec.lam_coeffs, spec.m))
         return build(spec, *args, **kwargs)
 
-    monkeypatch.setattr(D, "demazure_character_oracle", counted)
+    monkeypatch.setattr(D, "demazure_character", counted)
     D._block_char.cache_clear()
     rep = DC.verify_main(C2, C2.weight_of((2, 1)))
     assert rep.ok
@@ -485,15 +487,15 @@ def test_partition_failure_names_the_positions(capsys, monkeypatch):
     real = DC.decompose_tensor_image
 
     def broken(*args, **kwargs):
-        image = real(*args, **kwargs)
-        first, second = image.components[:2]
+        components = real(*args, **kwargs)
+        first, second = components[:2]
         first.members.pop()
         second.members.append(second.members[0])
-        return image
+        return components
 
     monkeypatch.setattr(DC, "decompose_tensor_image", broken)
-    image = real(C2, H.level_zero(C2, C2.weight_of((2, 0))))
-    lost, twice = image.components[0].members[-1], image.components[1].members[0]
+    components = real(C2, H.level_zero(C2, C2.weight_of((2, 0))))
+    lost, twice = components[0].members[-1], components[1].members[0]
     code = cli.main(["verify", "--type", "C", "--rank", "2", "--weight", "2,0"])
     out, err = capsys.readouterr()
     assert code == 2
@@ -540,10 +542,12 @@ def test_verify_main_keeps_no_graph_alive(monkeypatch):
 
 
 def test_verify_main_reports_graded_series():
-    rep = DC.verify_main(C2, C2.weight_of((2, 0)))
-    assert rep.ok
-    trivial_key = (0,) * C2.rank
-    assert rep.graded[trivial_key] == {1: 1}  # one copy of the trivial, one layer deep
+    lam = C2.weight_of((2, 0))
+    rep = DC.verify_main(C2, lam)
+    assert rep.ok and rep.checks["graded_multiplicities"]
+    # one copy of the trivial, one layer deep
+    graded = CH.decompose_hd(C2, DC.path_side_char(C2, H.level_zero(C2, lam)))
+    assert {m: mult for (mu, m), mult in graded.items() if mu == (0,) * C2.rank} == {1: 1}
 
 
 def test_classical_weight_sum_factors_over_fundamentals():
@@ -649,7 +653,7 @@ def test_argmax_picks_match_pairwise_scans(rs, coeffs):
     # the same picks in the same order
     picks = list(CH.decompose_hd(rs, a_char).items())
     assert picks == list(_decompose_hd_pairwise(rs, a_char).items())
-    for comp in DC.decompose_tensor_image(rs, graph).components:
+    for comp in DC.decompose_tensor_image(rs, graph):
         keys = [hd_key(rs, H.full_weight(graph, pos)) for pos in comp.members]
         assert _pairwise_top_key(rs, keys) == comp.mu_coeffs + (comp.n,)
 
@@ -668,7 +672,7 @@ def test_tensor_image_rejects_a_member_moved_between_components(monkeypatch):
     # top 15.  Raising position 4 straight to position 1 moves it, and
     # position 9 that raises through it, into the first component.
     graph = C.generate_level_zero(C2, C2.weight_of((2, 0)))
-    first, second = DC.decompose_tensor_image(C2, graph).components
+    first, second = DC.decompose_tensor_image(C2, graph)
     assert (first.mu_coeffs, first.n, first.top) == ((2, 0), 0, 1)
     assert (second.mu_coeffs, second.n, second.top) == ((0, 1), 1, 15)
     assert {4, 9} <= set(second.members)
