@@ -13,6 +13,7 @@ both come from the Demazure operator; this module runs no path code.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, sub
 
 from .rootdata import RootSystem, Weight
 
@@ -149,20 +150,24 @@ def demazure_operator(rs: RootSystem, word, ch: Character) -> Character:
     """Demazure operators D_{word[0]} ... D_{word[-1]} applied to a character
     on full keys, rightmost letter first as in ``RootSystem.weyl_apply``
     (Kumar, Invent. Math. 89, 1987; Littelmann, Ann. of Math. 142, 1995):
-    D_i e^x is the alpha_i-string from x down to s_i(x)."""
+    D_i e^x is the alpha_i-string from x down to s_i(x).  Each letter steps
+    along the strings into a plain dict and drops zeros once at its end."""
     for i in reversed(word):
-        out = Character()
         alpha = rs.simple_root(i)
-        for key, coeff in ch.items():
+        out = {}
+        get = out.get
+        for key, c in ch.items():
             k = key[i]
             if k >= 0:
-                js, c = range(k + 1), coeff
+                out[key] = get(key, 0) + c
+                step, n = sub, k
             else:  # the strict interior of the string, negated
-                js, c = range(-1, k, -1), -coeff
-            for j in js:
-                out.add_term(tuple(a - j * b for a, b in zip(key, alpha)), c)
-        ch = out
-    return ch
+                step, n, c = add, -1 - k, -c
+            for _ in range(n):
+                key = tuple(map(step, key, alpha))
+                out[key] = get(key, 0) + c
+        ch = {key: c for key, c in out.items() if c}
+    return Character(ch)
 
 
 @lru_cache(maxsize=None)

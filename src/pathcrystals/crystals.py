@@ -12,7 +12,6 @@ never need one while the affine node may.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from math import gcd
 
 from . import paths as P
@@ -29,13 +28,13 @@ class LimitError(GenerationError):
     """A node cap or the raise cap was hit: the input was too large, not wrong."""
 
 
-@dataclass
 class CrystalGraph:
-    rs: RootSystem
-    nodes: list  # Paths in BFS discovery order
-    index: dict  # Path -> position
-    f_edges: dict  # (pos, i) -> (pos, shift)
-    e_edges: dict  # (pos, i) -> (pos, shift)
+    def __init__(self, rs: RootSystem, nodes: list, index: dict, f_edges: dict, e_edges: dict):
+        self.rs = rs
+        self.nodes = nodes  # Paths in BFS discovery order
+        self.index = index  # Path -> position
+        self.f_edges = f_edges  # (pos, i) -> (pos, shift)
+        self.e_edges = e_edges  # (pos, i) -> (pos, shift)
 
     def __len__(self):
         return len(self.nodes)

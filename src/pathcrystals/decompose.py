@@ -14,8 +14,7 @@ in one table of the differences its failure lines print.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .characters import (
@@ -73,12 +72,10 @@ def _raised(rs: RootSystem, Lambda: Weight, graph: CrystalGraph, pos: int):
 
 # -- route (c): components of the concatenated crystal ------------------------
 
-@dataclass
-class Component:
-    mu_coeffs: tuple
-    n: int
-    members: list  # positions into the crystal graph
-    top: int  # position of the component's top
+class Component(namedtuple("Component", "mu_coeffs n members top")):
+    """A component's block (mu, n), its member positions into the crystal
+    graph and the position of its top."""
+    __slots__ = ()
 
 
 def decompose_tensor_image(rs: RootSystem, graph: CrystalGraph,
@@ -229,12 +226,10 @@ def short_demazure_identity(rs: RootSystem, lam: Weight, m: int,
 
 # -- the full verification report ---------------------------------------------
 
-@dataclass
-class VerifyReport:
-    crystal_size: int
-    filtration: list
-    checks: dict  # check name -> passed
-    details: list  # why a check failed: the difference of its two sides
+class VerifyReport(namedtuple("VerifyReport", "crystal_size filtration checks details")):
+    """``checks`` maps each check name to whether it passed; ``details`` says
+    why a check failed: the difference of its two sides."""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -13,7 +13,7 @@ reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import paths as P
@@ -22,8 +22,7 @@ from .crystals import NODE_CAP, CrystalGraph, GenerationError, LimitError
 from .rootdata import RootSystem, Weight
 
 
-@dataclass(frozen=True)
-class DemazureSpec:
+class DemazureSpec(namedtuple("DemazureSpec", "rs level lam_coeffs m Lambda word")):
     """The triple (level, classical dominant weight, grading shift) resolved
     into a dominant affine weight and the word reaching the extremal target.
 
@@ -31,12 +30,7 @@ class DemazureSpec:
     closures are applied along the word from its last letter to its first.
     """
 
-    rs: RootSystem
-    level: int
-    lam_coeffs: tuple
-    m: int
-    Lambda: Weight
-    word: tuple
+    __slots__ = ()
 
     @property
     def target(self) -> Weight:

@@ -469,6 +469,24 @@ def demazure_crystal_sum(spec, restrict_to_hd: bool = False, cap: int = C.NODE_C
     return restrict_hd(spec.rs, ch) if restrict_to_hd else ch
 
 
+def demazure_operator_reference(rs, word, ch: Character) -> Character:
+    """The Demazure operators as first written, string by string through
+    ``Character.add_term``: the reference for ``characters.demazure_operator``."""
+    for i in reversed(word):
+        out = Character()
+        alpha = rs.simple_root(i)
+        for key, coeff in ch.items():
+            k = key[i]
+            if k >= 0:
+                js, c = range(k + 1), coeff
+            else:  # the strict interior of the string, negated
+                js, c = range(-1, k, -1), -coeff
+            for j in js:
+                out.add_term(tuple(a - j * b for a, b in zip(key, alpha)), c)
+        ch = out
+    return ch
+
+
 def component_multiset(components) -> list:
     """The sorted (mu coefficients, grading shift) of route (c)'s components."""
     return sorted((c.mu_coeffs, c.n) for c in components)

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import os
 import random
@@ -85,7 +84,7 @@ def test_weights_of_unequal_length_exit_one(capsys, monkeypatch):
 def _shift_first_component(real):
     def patched(*args, **kwargs):
         first, *rest = real(*args, **kwargs)
-        return [dataclasses.replace(first, n=first.n + 7)] + rest
+        return [first._replace(n=first.n + 7)] + rest
     return patched
 
 
@@ -269,17 +268,22 @@ SPELLING_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("command,option,value", [
+CAP_SPELLINGS = [
     (command, option, value) for command, (_, _, options) in cli.COMMANDS.items()
     for option in ("--node-cap", "--raise-cap") if option in options
-    for value in ("0", "-3", "1_0", "\u0663", "+5")] + [
+    for value in ("0", "-3", "1_0", "\u0663", "+5")]
+
+# every other integer option spelled otherwise than in ASCII digits
+INTEGER_SPELLINGS = [
     (command, option, value)
     for command, option in [(command, "--rank") for command in cli.COMMANDS]
     + [("demazure", "--level"), ("selftest", "--seed")]
     for value in ("\u0662", "0_2", "+2", "-2", "2.0")] + [
-    ("demazure", "--mshift", value) for value in ("\u0661", "1_0", "+1", "- 1", "-\u0663", "1-")])
+    ("demazure", "--mshift", value) for value in ("\u0661", "1_0", "+1", "- 1", "-\u0663", "1-")]
+
+
+@pytest.mark.parametrize("command,option,value", CAP_SPELLINGS + INTEGER_SPELLINGS)
 def test_a_cap_below_one_is_a_usage_error(capsys, command, option, value):
-    # and every other integer option spelled otherwise than in ASCII digits
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--type", "C", "--rank", "2", "--weight", "1,1", option, value])
     assert exc.value.code == 1
@@ -418,6 +422,26 @@ def test_import_builds_no_parser():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", str(1 + len(cli.COMMANDS))]
+
+
+_IMPORT_ADDS_MODULES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import pathcrystals.cli
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_import_loads_no_dataclasses_or_introspection():
+    # the result types are namedtuples and plain classes; dataclasses would
+    # pull inspect, ast, dis and tokenize into every start-up
+    proc = subprocess.run([sys.executable, "-I", "-c", _IMPORT_ADDS_MODULES, SRC],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "pathcrystals.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_a_replaced_handler_takes_effect_after_the_first_call(capsys, monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import weakref
@@ -296,7 +295,8 @@ def test_image_rejects_a_shifted_raising_edge():
     edges = dict(graph.e_edges)
     edges[(pos, i)] = (edges[(pos, i)][0], 1)
     with pytest.raises(DC.DecompositionError, match="shifts"):
-        DC.decompose_tensor_image(C2, dataclasses.replace(graph, e_edges=edges))
+        DC.decompose_tensor_image(
+            C2, C.CrystalGraph(C2, graph.nodes, graph.index, graph.f_edges, edges))
 
 
 # -- the short embedding -----------------------------------------------------------

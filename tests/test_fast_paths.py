@@ -5,7 +5,8 @@
 holds int tuples and normalizes no entry; the per-entry originals are in
 the helpers too, as are the Fraction bridge to the short subsystem that
 ``characters.transport_short`` replaced and the ``randint`` random-path
-generator that ``cli.random_integral_path`` replaced.
+generator that ``cli.random_integral_path`` replaced, and the Demazure
+operator that added its terms string by string through ``Character.add_term``.
 """
 
 import random
@@ -15,13 +16,13 @@ import pytest
 
 import fraction_paths as R
 import helpers as H
-from conftest import ALL_TYPES, LARGE_WEIGHTS, sweep_weights
+from conftest import ALL_TYPES, LARGE_WEIGHTS, sweep_weights, verify_requests
 from pathcrystals import characters as CH
 from pathcrystals import crystals as C
 from pathcrystals import decompose as DC
 from pathcrystals import paths as P
 from pathcrystals.cli import random_integral_path
-from pathcrystals.demazure import block_char
+from pathcrystals.demazure import block_char, demazure_params
 from pathcrystals.rootdata import RootDataError, root_system
 
 SEEDS = (0, 1, 7)
@@ -271,3 +272,40 @@ def test_randrange_generator_draws_the_same_paths_as_randint():
                 want = H.randint_integral_path(rs, old)
                 assert (got.dirs, got.ts) == (want.dirs, want.ts)
             assert new.random() == old.random()  # the streams end level
+
+
+# -- the Demazure operator -------------------------------------------------
+
+def assert_operator_matches_reference(rs, word, ch):
+    got = CH.demazure_operator(rs, word, ch)
+    assert type(got) is CH.Character and all(got.values())
+    assert got == H.demazure_operator_reference(rs, word, ch), (rs, word, ch)
+    return got
+
+
+def test_demazure_operator_matches_the_reference_on_verify_requests():
+    finite, blocks = verify_requests()
+    assert (len(finite), len(blocks)) == (119, 150)
+    for rs, mu in finite:
+        x = rs.weight_of(mu)
+        word = rs.antidominantize_finite(x)[1]
+        assert_operator_matches_reference(rs, word, CH.Character.monomial(x))
+    for rs, level, mu, m in blocks:
+        spec = demazure_params(rs, level, mu, m)
+        assert_operator_matches_reference(rs, spec.word, CH.Character.monomial(spec.Lambda))
+
+
+@pytest.mark.parametrize("pairing", [-3, -2, -1, 0, 1, 3])
+def test_demazure_operator_matches_the_reference_on_single_letters(pairing):
+    # D_i e^x has mass <x, alpha_i^vee> + 1: the string down to s_i(x), the
+    # empty string at -1, and below it the strict interior up to s_i(x), negated
+    for letter, rank in ALL_TYPES:
+        rs = root_system(letter, rank)
+        for i in rs.nodes:
+            x = tuple(pairing if j == i else j - 1 for j in range(rank + 2))
+            got = assert_operator_matches_reference(rs, (i,), CH.Character.monomial(x, 2))
+            assert got.mass() == 2 * (pairing + 1)
+            up = rs.add(x, rs.simple_root(i))
+            # at -2 the interior of x is -e^{x + alpha_i}, which D_i e^{x + alpha_i} cancels
+            both = assert_operator_matches_reference(rs, (i,), CH.Character({x: 1, up: 1}))
+            assert both.mass() == 2 * pairing + 4 and (both == {}) == (pairing == -2)
