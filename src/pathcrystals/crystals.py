@@ -29,12 +29,11 @@ class LimitError(GenerationError):
 
 
 class CrystalGraph:
-    def __init__(self, rs: RootSystem, nodes: list, index: dict, f_edges: dict, e_edges: dict):
+    def __init__(self, rs: RootSystem, nodes: list, f_edges: list, e_edges: list):
         self.rs = rs
         self.nodes = nodes  # Paths in BFS discovery order
-        self.index = index  # Path -> position
-        self.f_edges = f_edges  # (pos, i) -> (pos, shift)
-        self.e_edges = e_edges  # (pos, i) -> (pos, shift)
+        self.f_edges = f_edges  # f_edges[pos][i]: (target pos, shift) or None
+        self.e_edges = e_edges  # e_edges[pos][i]: (target pos, shift) or None
 
     def __len__(self):
         return len(self.nodes)
@@ -45,8 +44,10 @@ def _closure(rs, seed, cap, normalizer=None):
     node; ``normalizer`` maps each result to its representative and shift."""
     nodes = []
     index = {}
-    f_edges = {}
-    e_edges = {}
+    f_edges = []
+    e_edges = []
+    blank = [None] * len(rs.nodes)
+    shared = {}.setdefault  # one tuple per direction for every node holding it
 
     def intern(path):
         shift = 0
@@ -57,8 +58,11 @@ def _closure(rs, seed, cap, normalizer=None):
             pos = len(nodes)
             if pos >= cap:
                 raise LimitError(f"node cap {cap} exceeded")
+            path.dirs = tuple(map(shared, path.dirs, path.dirs))
             nodes.append(path)
             index[path] = pos
+            f_edges.append(blank[:])
+            e_edges.append(blank[:])
         return pos, shift
 
     intern(seed)
@@ -72,20 +76,21 @@ def _closure(rs, seed, cap, normalizer=None):
         pos = head
         head += 1
         path = nodes[pos]
+        f_row = f_edges[pos]
+        e_row = e_edges[pos]
         for i in ops:
-            key = (pos, i)
-            need_f = key not in f_edges
-            need_e = key not in e_edges
+            need_f = f_row[i] is None
+            need_e = e_row[i] is None
             if not (need_f or need_e):
                 continue
             col = P.column(path, i)
             if need_f and (down := P.f_op(rs, i, path, col)) is not None:
-                tgt, shift = f_edges[key] = intern(down)
-                e_edges[(tgt, i)] = (pos, -shift)
+                tgt, shift = f_row[i] = intern(down)
+                e_edges[tgt][i] = (pos, -shift)
             if need_e and (up := P.e_op(rs, i, path, col)) is not None:
-                tgt, shift = e_edges[key] = intern(up)
-                f_edges[(tgt, i)] = (pos, -shift)
-    return CrystalGraph(rs, nodes, index, f_edges, e_edges)
+                tgt, shift = e_row[i] = intern(up)
+                f_edges[tgt][i] = (pos, -shift)
+    return CrystalGraph(rs, nodes, f_edges, e_edges)
 
 
 def d_lambda(rs: RootSystem, lam: Weight) -> int:
@@ -127,8 +132,8 @@ def generate_level_zero(rs: RootSystem, lam: Weight, cap: int = NODE_CAP) -> Cry
         return P.shift(path, minus), offset // d
 
     graph = _closure(rs, seed, cap, normalizer=normalizer)
-    edges = list(graph.f_edges.values()) + list(graph.e_edges.values())
-    nonzero = {abs(s) for _, s in edges if s != 0}
+    # every e-edge is an f-edge reversed, with the shift negated
+    nonzero = {abs(edge[1]) for row in graph.f_edges for edge in row if edge and edge[1]}
     if not nonzero or min(nonzero) != 1:
         raise GenerationError("declared offset generator was never attained")
     return graph
@@ -142,23 +147,21 @@ def degree(graph: CrystalGraph, pos: int) -> int:
 def classically_highest(graph: CrystalGraph) -> list:
     """Positions with no recorded raising edge at any finite node."""
     finite = graph.rs.finite_nodes
-    return [pos for pos in range(len(graph))
-            if not any((pos, i) in graph.e_edges for i in finite)]
+    return [pos for pos, row in enumerate(graph.e_edges) if not any(row[i] for i in finite)]
 
 
 # -- exports ---------------------------------------------------------------
 
-def _id_and_breakpoints(path: P.Path):
-    """The node id, and the breakpoints as reduced (numerator, denominator)."""
+def _breakpoints(path: P.Path) -> list:
+    """The breakpoints as reduced (numerator, denominator) pairs."""
     scale = path.ts[-1]
-    pairs = [(t // g, scale // g) for t in path.ts for g in (gcd(t, scale),)]
-    # the id prints a breakpoint as a Fraction does: n/1 as n
-    blob = repr((path.dirs, tuple(f"{n}/{d}" if d != 1 else str(n) for n, d in pairs)))
-    return hashlib.sha1(blob.encode()).hexdigest()[:12], pairs
+    return [(t // g, scale // g) for t in path.ts for g in (gcd(t, scale),)]
 
 
 def node_id(path: P.Path) -> str:
-    return _id_and_breakpoints(path)[0]
+    # the id prints a breakpoint as a Fraction does: n/1 as n
+    sigmas = tuple(f"{n}/{d}" if d != 1 else str(n) for n, d in _breakpoints(path))
+    return hashlib.sha1(repr((path.dirs, sigmas)).encode()).hexdigest()[:12]
 
 
 def _int_row(row, pad: str) -> str:
@@ -168,10 +171,10 @@ def _int_row(row, pad: str) -> str:
 
 def graph_to_json(graph: CrystalGraph, write) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline in
-    chunks, record by record.  The payload holds the f-edges {node, source, target}
-    by (source, node), the nodes {degree, id, path: [{direction, sigma}], weight}
-    and the size."""
-    ids, breakpoints = zip(*map(_id_and_breakpoints, graph.nodes))
+    chunks of at most 256 records.  The payload holds the f-edges {node,
+    source, target} by (source, node), the nodes {degree, id, path:
+    [{direction, sigma}], weight} and the size."""
+    ids = list(map(node_id, graph.nodes))
     # each distinct direction is rendered once for all its segments
     rows = {mu: _int_row(mu, " " * 12) for mu in {mu for p in graph.nodes for mu in p.dirs}}
     parts = ["{"]
@@ -182,24 +185,25 @@ def graph_to_json(graph: CrystalGraph, write) -> None:
         for rec in records:
             parts.append(sep + "\n    {\n" + rec + "\n    }")
             sep = ","
-            if len(parts) > 8192:
+            if len(parts) >= 256:
                 write("".join(parts))
                 parts.clear()
         parts.append("[]," if sep == "[" else "\n  ],")
 
-    def node(path, ident, pairs):
+    def node(path, ident):
         weight = path.endpoint()
         segments = "\n        },\n        {\n".join(
             f'          "direction": {rows[mu]},\n          "sigma": "{n}/{d}"'
-            for mu, (n, d) in zip(path.dirs, pairs))
+            for mu, (n, d) in zip(path.dirs, _breakpoints(path)))
         return (f'      "degree": {int.__repr__(-weight[-1])},\n      "id": "{ident}",\n'
                 f'      "path": [\n        {{\n{segments}\n        }}\n      ],\n'
                 f'      "weight": {_int_row(weight, " " * 8)}')
 
     put_list("edges", (f'      "node": {i},\n      "source": "{ids[pos]}",\n'
-                       f'      "target": "{ids[tgt]}"'
-                       for (pos, i), (tgt, _) in sorted(graph.f_edges.items())))
-    put_list("nodes", map(node, graph.nodes, ids, breakpoints))
+                       f'      "target": "{ids[edge[0]]}"'
+                       for pos, row in enumerate(graph.f_edges)
+                       for i, edge in enumerate(row) if edge))
+    put_list("nodes", map(node, graph.nodes, ids))
     parts.append(f'\n  "size": {len(graph)}\n}}\n')
     write("".join(parts))
 
@@ -209,7 +213,9 @@ def graph_to_dot(graph: CrystalGraph) -> str:
     lines = ["digraph crystal {"]
     for pos, path in enumerate(graph.nodes):
         lines.append(f'  "{ids[pos]}" [label="{list(path.endpoint())}"];')
-    for (pos, i), (tgt, _) in sorted(graph.f_edges.items()):
-        lines.append(f'  "{ids[pos]}" -> "{ids[tgt]}" [label="{i}"];')
+    for pos, row in enumerate(graph.f_edges):
+        for i, edge in enumerate(row):
+            if edge:
+                lines.append(f'  "{ids[pos]}" -> "{ids[edge[0]]}" [label="{i}"];')
     lines.append("}")
     return "\n".join(lines)

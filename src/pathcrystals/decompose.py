@@ -59,9 +59,9 @@ def _raised(rs: RootSystem, Lambda: Weight, graph: CrystalGraph, pos: int):
     forbids that edge a shift."""
     e_edges = graph.e_edges
     for i in rs.nodes:
-        edge = up = e_edges.get((pos, i))
+        edge = up = e_edges[pos][i]
         for _ in range(Lambda[i]):
-            up = up and e_edges.get((up[0], i))
+            up = up and e_edges[up[0]][i]
         if up:
             tgt, shift = edge
             if shift:

@@ -99,21 +99,21 @@ def demazure_graph(spec: DemazureSpec, cap: int = NODE_CAP) -> CrystalGraph:
     rs = spec.rs
     nodes = demazure_crystal(spec, cap)
     index = {p: k for k, p in enumerate(nodes)}
-    f_edges = {}
-    e_edges = {}
+    f_edges = [[None] * len(rs.nodes) for _ in nodes]
+    e_edges = [[None] * len(rs.nodes) for _ in nodes]
     raised = []
     for pos, path in enumerate(nodes):
         for i in rs.nodes:
             col = P.column(path, i)
             tgt = index.get(P.f_op(rs, i, path, col))
             if tgt is not None:
-                f_edges[(pos, i)] = (tgt, 0)
-                e_edges[(tgt, i)] = (pos, 0)
+                f_edges[pos][i] = (tgt, 0)
+                e_edges[tgt][i] = (pos, 0)
             if P.eps_phi(rs, i, path, col)[0] > 0:
                 raised.append((pos, i))
-    if any(key not in e_edges for key in raised):
+    if any(e_edges[pos][i] is None for pos, i in raised):
         raise GenerationError("raising left the Demazure node set")
-    return CrystalGraph(rs, list(nodes), index, f_edges, e_edges)
+    return CrystalGraph(rs, list(nodes), f_edges, e_edges)
 
 
 def demazure_character(spec: DemazureSpec, restrict_to_hd: bool = False,

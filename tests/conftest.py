@@ -96,8 +96,8 @@ def two_call_closure(rs, seed, ops, cap, normalizer=None):
     operators; the reference for ``crystals._closure``."""
     nodes = []
     index = {}
-    f_edges = {}
-    e_edges = {}
+    f_edges = []
+    e_edges = []
 
     def intern(path):
         shift = 0
@@ -110,6 +110,8 @@ def two_call_closure(rs, seed, ops, cap, normalizer=None):
                 raise C.GenerationError(f"node cap {cap} exceeded")
             nodes.append(path)
             index[path] = pos
+            f_edges.append([None] * len(rs.nodes))
+            e_edges.append([None] * len(rs.nodes))
         return pos, shift
 
     if not H.is_integral(rs, seed):
@@ -123,11 +125,11 @@ def two_call_closure(rs, seed, ops, cap, normalizer=None):
         for i in ops:
             down = P.f_op(rs, i, path)
             if down is not None:
-                f_edges[(pos, i)] = intern(down)
+                f_edges[pos][i] = intern(down)
             up = P.e_op(rs, i, path)
             if up is not None:
-                e_edges[(pos, i)] = intern(up)
-    return C.CrystalGraph(rs, nodes, index, f_edges, e_edges)
+                e_edges[pos][i] = intern(up)
+    return C.CrystalGraph(rs, nodes, f_edges, e_edges)
 
 
 def finite_path_crystal(rs, mu_coeffs, cap=C.NODE_CAP):

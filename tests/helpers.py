@@ -450,12 +450,14 @@ def compatible_lift_check(graph) -> list:
     a node that admits an affine raising must not either.
     """
     bad = []
-    for (pos, i), (tgt, shift) in list(graph.e_edges.items()) + list(graph.f_edges.items()):
-        if i != 0 and shift != 0:
-            bad.append(("finite", pos, i, shift))
-    for (pos, i), (tgt, shift) in graph.f_edges.items():
-        if i == 0 and (pos, 0) in graph.e_edges and shift != 0:
-            bad.append(("affine", pos, 0, shift))
+    for rows in (graph.e_edges, graph.f_edges):
+        for pos, row in enumerate(rows):
+            for i, edge in enumerate(row):
+                if edge and i != 0 and edge[1] != 0:
+                    bad.append(("finite", pos, i, edge[1]))
+    for pos, row in enumerate(graph.f_edges):
+        if row[0] and graph.e_edges[pos][0] and row[0][1] != 0:
+            bad.append(("affine", pos, 0, row[0][1]))
     return bad
 
 
@@ -504,7 +506,8 @@ def graph_records(graph) -> dict:
     ids = []
     nodes = []
     for path in graph.nodes:
-        ident, breakpoints = C._id_and_breakpoints(path)
+        ident = C.node_id(path)
+        breakpoints = C._breakpoints(path)
         ids.append(ident)
         weight = path.endpoint()
         rec = {"id": ident, "weight": list(weight),
@@ -513,8 +516,8 @@ def graph_records(graph) -> dict:
         rec["degree"] = -weight[-1]
         nodes.append(rec)
     edges = [
-        {"source": ids[pos], "node": i, "target": ids[tgt]}
-        for (pos, i), (tgt, _) in sorted(graph.f_edges.items())
+        {"source": ids[pos], "node": i, "target": ids[edge[0]]}
+        for pos, row in enumerate(graph.f_edges) for i, edge in enumerate(row) if edge
     ]
     return {"nodes": nodes, "edges": edges}
 

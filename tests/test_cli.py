@@ -489,14 +489,21 @@ def test_crystal_writer_matches_json_dumps_of_the_records():
 def test_crystal_writer_writes_a_large_crystal_in_several_chunks():
     rs = root_system("A", 4)
     graph = H.level_zero(rs, rs.weight_of((1, 1, 1, 1)))
-    assert H.written_json(graph)[1] > 1
+    chunks = []
+    C.graph_to_json(graph, chunks.append)
+    assert len(chunks) > 1
+    # every edge and node record opens at the list indent
+    records = [chunk.count("\n    {\n") for chunk in chunks]
+    payload = json.loads("".join(chunks))
+    assert sum(records) == len(payload["edges"]) + len(payload["nodes"])
+    assert max(records) <= 256
 
 
 def test_crystal_writer_rejects_a_fraction_entry():
     A1 = root_system("A", 1)
     half = Fraction(1, 2)
     path = P.Path(((half, 0, 0), (-half, 0, 0)), (1, 2))
-    graph = C.CrystalGraph(A1, [path], {path: 0}, {}, {})
+    graph = C.CrystalGraph(A1, [path], [[None, None]], [[None, None]])
     assert path.endpoint() == (0, 0, 0)  # only the direction holds a Fraction
     with pytest.raises(TypeError):
         json.dumps(H.graph_records(graph))

@@ -152,7 +152,7 @@ def test_compatible_lift_check():
         g = C.generate_level_zero(rs, rs.weight_of(coeffs))
         assert H.compatible_lift_check(g) == []
         exercised += sum(
-            1 for pos in range(len(g)) if (pos, 0) in g.e_edges and (pos, 0) in g.f_edges
+            1 for pos in range(len(g)) if g.e_edges[pos][0] and g.f_edges[pos][0]
         )
     assert exercised > 0  # the affine branch of the check is not vacuous
 
@@ -195,10 +195,20 @@ def test_exports():
     assert len(payload["nodes"]) == 2
     assert all(rec["degree"] == 0 for rec in payload["nodes"])
     dot = C.graph_to_dot(g)
-    assert dot.startswith("digraph") and dot.count("->") == len(g.f_edges)
+    assert dot.startswith("digraph")
+    assert dot.count("->") == sum(edge is not None for row in g.f_edges for edge in row)
 
 
 # -- the closure against the two-call loop it replaced ---------------------------
+
+def test_closure_shares_one_tuple_per_direction():
+    # the nodes of a closure hold one object for each distinct direction
+    for letter, rank, coeffs in sweep_weights() + LARGE_WEIGHTS + EXPORT_WEIGHTS:
+        rs = root_system(letter, rank)
+        g = H.level_zero(rs, rs.weight_of(coeffs))
+        dirs = [mu for p in g.nodes for mu in p.dirs]
+        assert len({id(mu) for mu in dirs}) == len(set(dirs)), f"{letter}{rank} {coeffs}"
+
 
 def _closure_weights():
     return sweep_weights() + LARGE_WEIGHTS + EXPORT_WEIGHTS
@@ -206,7 +216,7 @@ def _closure_weights():
 
 def _assert_same_graph(got, want):
     assert got.nodes == want.nodes
-    assert got.index == want.index
+    assert len(set(got.nodes)) == len(got.nodes)  # one position per path
     assert got.f_edges == want.f_edges
     assert got.e_edges == want.e_edges
 
@@ -272,12 +282,14 @@ def test_closure_finds_each_edge_once(monkeypatch):
             m.setattr(P, "e_op", counted("e_op"))
             graph = C.generate_level_zero(rs, rs.weight_of(coeffs))
         # name every result by the f-edge it found: (source, node)
+        index = {path: pos for pos, path in enumerate(graph.nodes)}
         found = []
         for name, path, i in calls:
-            pos = graph.index[path]
-            found.append((pos, i) if name == "f_op" else (graph.e_edges[(pos, i)][0], i))
+            pos = index[path]
+            found.append((pos, i) if name == "f_op" else (graph.e_edges[pos][i][0], i))
         assert len(found) == len(set(found))
-        assert set(found) == set(graph.f_edges)
+        assert set(found) == {(pos, i) for pos, row in enumerate(graph.f_edges)
+                              for i, edge in enumerate(row) if edge}
 
 
 def test_one_pass_reflection_matches_the_two_pass_reference(monkeypatch):

@@ -37,7 +37,7 @@ def test_straight_seed_qualifies_iff_theta_pairing_small():
         lam = rs.weight_of(coeffs)
         graph = C.generate_level_zero(rs, lam)
         highest = H.highest_candidates(rs, rs.fundamental(0), graph)
-        seed_pos = graph.index[P.straight(lam)]
+        seed_pos = graph.nodes.index(P.straight(lam))
         assert (seed_pos in highest) == expect
 
 
@@ -235,7 +235,7 @@ def _column_minimum_raised(rs, Lambda, graph, pos):
     columns = H.vertex_columns(path)
     for i in rs.nodes:
         if min(columns[i]) < -Lambda[i] * path.ts[-1]:
-            tgt, shift = graph.e_edges[(pos, i)]
+            tgt, shift = graph.e_edges[pos][i]
             if shift:
                 raise DC.DecompositionError(f"raising {pos} by e_{i} shifts it by {shift}")
             return tgt
@@ -292,11 +292,10 @@ def test_image_rejects_a_shifted_raising_edge():
         (pos, i) for pos, path in enumerate(graph.nodes) for i in C2.nodes
         if H.min_h(C2, path, i) < -Lambda[i]
     )
-    edges = dict(graph.e_edges)
-    edges[(pos, i)] = (edges[(pos, i)][0], 1)
+    edges = [row[:] for row in graph.e_edges]
+    edges[pos][i] = (edges[pos][i][0], 1)
     with pytest.raises(DC.DecompositionError, match="shifts"):
-        DC.decompose_tensor_image(
-            C2, C.CrystalGraph(C2, graph.nodes, graph.index, graph.f_edges, edges))
+        DC.decompose_tensor_image(C2, C.CrystalGraph(C2, graph.nodes, graph.f_edges, edges))
 
 
 # -- the short embedding -----------------------------------------------------------

@@ -270,14 +270,14 @@ def test_graph_reads_raising_edges_off_the_lowering_edges():
     for rs, coeffs in [(A2, (1, 1)), (C2, (2, 1)), (G2, (0, 2))]:
         spec = demazure_params(rs, 1, coeffs, 0)
         graph = demazure_graph(spec)
-        index = graph.index
+        index = {path: pos for pos, path in enumerate(graph.nodes)}
         # the e-edges the operators give, every one inside the node set
-        want = {}
+        want = [[None] * len(rs.nodes) for _ in graph.nodes]
         for pos, path in enumerate(graph.nodes):
             for i in rs.nodes:
                 up = P.e_op(rs, i, path)
                 if up is not None:
-                    want[(pos, i)] = (index[up], 0)
+                    want[pos][i] = (index[up], 0)
         assert graph.e_edges == want
 
 
