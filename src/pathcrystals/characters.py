@@ -49,24 +49,8 @@ class Character(dict):
             out.add_term(k, sign * v)
         return out
 
-    def scaled(self, c: int) -> "Character":
-        if c == 0:
-            return Character()
-        return Character({k: c * v for k, v in self.items()})
-
-    def projected(self, predicate) -> "Character":
-        return Character({k: v for k, v in self.items() if predicate(k)})
-
     def mass(self) -> int:
         return sum(self.values())
-
-
-def char_sum(chars) -> Character:
-    out = Character()
-    for ch in chars:
-        for k, v in ch.items():
-            out.add_term(k, v)
-    return out
 
 
 # -- key shapes ------------------------------------------------------------
@@ -111,16 +95,6 @@ def in_q_plus_short(rs: RootSystem, lam_finite, key_finite) -> bool:
         elif v != 0:
             return False
     return True
-
-
-def hd_below_short(rs: RootSystem, lam: Weight):
-    """Predicate on restricted keys for membership in lam - Q_+^sh + Z delta."""
-    lam_f = finite_key(rs, lam)
-
-    def pred(key):
-        return in_q_plus_short(rs, lam_f, hd_finite_part(key))
-
-    return pred
 
 
 # -- moving short keys to the full lattice -----------------------------------

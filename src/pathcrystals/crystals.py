@@ -139,11 +139,6 @@ def generate_level_zero(rs: RootSystem, lam: Weight, cap: int = NODE_CAP) -> Cry
     return graph
 
 
-def degree(graph: CrystalGraph, pos: int) -> int:
-    """Negated null-root coefficient of the endpoint of an anchored node."""
-    return -graph.nodes[pos].endpoint()[-1]
-
-
 def classically_highest(graph: CrystalGraph) -> list:
     """Positions with no recorded raising edge at any finite node."""
     finite = graph.rs.finite_nodes

@@ -19,14 +19,13 @@ from functools import lru_cache
 
 from .characters import (
     Character,
-    char_sum,
     decompose_hd,
     finite_key,
-    hd_below_short,
     hd_delta,
     hd_finite_part,
     hd_height,
     hd_key,
+    in_q_plus_short,
     peel_demazure,
     transport_short,
 )
@@ -35,7 +34,6 @@ from .crystals import (
     CrystalGraph,
     LimitError,
     classically_highest,
-    degree,
     generate_level_zero,
 )
 from .demazure import block_char
@@ -182,14 +180,21 @@ def path_side_char(rs: RootSystem, graph: CrystalGraph,
 
 def filtration_char(rs: RootSystem, filtration, cap: int = NODE_CAP) -> Character:
     """Route (b): the blocks of the filtration, summed at their shifts."""
-    return char_sum(block_char(rs, 1, mu, m, cap).scaled(mult) for mu, m, mult in filtration)
+    out = Character()
+    for mu, m, mult in filtration:
+        for key, coeff in block_char(rs, 1, mu, m, cap).items():
+            out.add_term(key, mult * coeff)
+    return out
 
 
 def _short_projection_difference(rs: RootSystem, lam: Weight, full: Character,
                                  level: int, m: int, cap: int) -> Character:
     """The part of ``full`` supported below lam along short roots, minus the
-    transported level-``level`` short block at shift ``m``."""
-    out = full.projected(hd_below_short(rs, lam))
+    transported level-``level`` short block at shift ``m``.  A key is below
+    lam along short roots when its finite part lies in lam - Q_+^sh."""
+    lam_f = finite_key(rs, lam)
+    out = Character({key: v for key, v in full.items()
+                     if in_q_plus_short(rs, lam_f, hd_finite_part(key))})
     short = block_char(rs.short_system(), level, lam_bar_coeffs(rs, lam), m, cap)
     for key, coeff in short.items():
         out.add_term(transport_short(rs, lam, key), -coeff)
@@ -280,7 +285,7 @@ def verify_main(rs: RootSystem, lam: Weight, cap: int = NODE_CAP,
     direct = {}
     for pos in classically_highest(graph):
         series = direct.setdefault(hd_finite_part(keys[pos]), {})
-        deg = -degree(graph, pos)
+        deg = hd_delta(keys[pos])  # the node's degree, negated
         series[deg] = series.get(deg, 0) + 1
     differ = {mu: (graded.get(mu), direct.get(mu)) for mu in sorted(graded.keys() | direct.keys())
               if graded.get(mu) != direct.get(mu)}

@@ -75,29 +75,6 @@ def _time(path: Path, k: int):
     return path.ts[k - 1] if k else 0
 
 
-def _canonical(dirs, ts) -> Path:
-    """Drop empty segments, merge equal neighbours and reduce the times of an
-    expression with int weights ``dirs`` and nondecreasing nonnegative ``ts``."""
-    out_dirs = []
-    out_ts = []
-    prev = 0
-    for mu, t in zip(dirs, ts):
-        if t == prev:
-            continue
-        if out_dirs and out_dirs[-1] == mu:
-            out_ts[-1] = t
-        else:
-            out_dirs.append(mu)
-            out_ts.append(t)
-        prev = t
-    if not out_dirs:
-        raise PathError("empty path expression")
-    g = gcd(*out_ts)
-    if g > 1:
-        out_ts = [t // g for t in out_ts]
-    return Path(tuple(out_dirs), tuple(out_ts))
-
-
 def _direction(weight) -> Weight:
     """``weight`` as a tuple, when every entry is an int; else PathError."""
     weight = tuple(weight)
@@ -123,16 +100,20 @@ def concat(p1: Path, p2: Path) -> Path:
 
     Each factor runs at double speed, so directions double while the
     breakpoints compress into the half-intervals, over the lcm of the two
-    scales.
+    scales.  Both factors are canonical, so the only merge is at the
+    junction, and the times are reduced once.
     """
     if len(p1.dirs[0]) != len(p2.dirs[0]):
         raise PathError("concatenation needs a common lattice")
-    dirs = [tuple([2 * c for c in mu]) for mu in p1.dirs + p2.dirs]
     scale = lcm(p1.ts[-1], p2.ts[-1])
     c1 = scale // p1.ts[-1]
     c2 = scale // p2.ts[-1]
-    ts = [t * c1 for t in p1.ts] + [scale + t * c2 for t in p2.ts]
-    return _canonical(dirs, ts)
+    n = len(p1.dirs) - (p1.dirs[-1] == p2.dirs[0])  # p1's segments kept
+    ts = [t * c1 for t in p1.ts[:n]] + [scale + t * c2 for t in p2.ts]
+    g = gcd(*ts)
+    if g > 1:
+        ts = [t // g for t in ts]
+    return Path(tuple(tuple([2 * c for c in mu]) for mu in p1.dirs[:n] + p2.dirs), tuple(ts))
 
 
 # -- vertex columns and the root operators ---------------------------------

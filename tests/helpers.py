@@ -201,7 +201,7 @@ def make_path(dirs, sigmas) -> P.Path:
         raise P.PathError("final breakpoint must be 1")
     scale = lcm(*(s.denominator for s in fracs))
     ts = [s.numerator * (scale // s.denominator) for s in fracs]
-    return P._canonical(out_dirs, ts)
+    return two_pass_canonical(out_dirs, ts)
 
 
 def two_pass_canonical(dirs, ts) -> P.Path:
@@ -395,7 +395,7 @@ def cl_path(rs, path: P.Path) -> P.Path:
     """Project every direction along cl (drop the null-root entry)."""
     if rs.is_cl(path.dirs[0]):
         return path
-    return P._canonical([mu[:-1] for mu in path.dirs], path.ts)
+    return two_pass_canonical([mu[:-1] for mu in path.dirs], path.ts)
 
 
 def h_profile(rs, path: P.Path, i: int):

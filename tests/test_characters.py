@@ -35,16 +35,10 @@ def test_character_arithmetic():
     assert H.per_entry_shifted(a, (3, 3)) == Character.monomial((4, 3))
 
 
-def test_project_identity_and_support():
-    ch = Character.monomial((2, 0)).added(Character.monomial((0, 5)))
-    assert ch.projected(lambda k: True) == ch
-    assert ch.projected(lambda k: k[0] > 0) == Character.monomial((2, 0))
-
-
 def test_project_short_cone_drops_long_direction():
     # e(lam) survives, e(lam - alpha_long) does not
     lam = C2.weight_of((1, 1))
-    pred = CH.hd_below_short(C2, lam)
+    lam_f = CH.finite_key(C2, lam)
     long_root = C2.simple_root(2)
     keys = {
         CH.hd_key(C2, lam): True,
@@ -52,7 +46,7 @@ def test_project_short_cone_drops_long_direction():
         CH.hd_key(C2, C2.sub(lam, C2.simple_root(1))): True,
     }
     for key, keep in keys.items():
-        assert pred(key) == keep
+        assert CH.in_q_plus_short(C2, lam_f, CH.hd_finite_part(key)) == keep
 
 
 def test_i_sh_char_basics(nsl_rs):
@@ -199,7 +193,9 @@ def test_peel_reconstruction_c2():
         return block_char(sh, 2, nu, m)
 
     pieces = CH.peel_demazure(sh, ch, char_of)
-    rebuilt = CH.char_sum(char_of(nu, m).scaled(mult) for nu, m, mult in pieces)
+    rebuilt = Character()
+    for nu, m, mult in pieces:
+        rebuilt = rebuilt.added(char_of(nu, m), sign=mult)
     assert rebuilt == ch
 
 

@@ -54,7 +54,7 @@ def test_verify_pass_matrix(capsys):
 
 
 def test_verify_failure_prints_details_on_stderr(capsys, monkeypatch):
-    monkeypatch.setattr(DC, "hd_below_short", lambda rs, lam: lambda key: True)
+    monkeypatch.setattr(DC, "in_q_plus_short", lambda rs, lam_finite, key_finite: True)
     code, out, err = run(capsys, ["verify", "--type", "C", "--rank", "2", "--weight", "1,0"])
     assert code == 2
     assert json.loads(out)["reports"][0]["checks"]["short_restriction"] is False
@@ -65,7 +65,8 @@ def test_a_failed_peel_exits_two(capsys, monkeypatch):
     # doubled level-2 blocks leave a negative residue in the route (b) peel
     real = DC.block_char
     monkeypatch.setattr(DC, "block_char", lambda rs, level, mu, m, cap=D.NODE_CAP:
-                        real(rs, level, mu, m, cap).scaled(2 if level == 2 else 1))
+                        Character().added(real(rs, level, mu, m, cap),
+                                          sign=2 if level == 2 else 1))
     code, out, err = run(capsys, ["verify", "--type", "C", "--rank", "2", "--weight", "1,0"])
     assert code == 2
     assert out == ""

@@ -68,7 +68,7 @@ def test_unnormalized_level_zero_blows_past_cap():
 def test_level_zero_a1_fundamental():
     g = C.generate_level_zero(A1, A1.varpi(1))
     assert len(g) == 2
-    assert all(C.degree(g, k) == 0 for k in range(len(g)))
+    assert all(-H.full_weight(g, k)[-1] == 0 for k in range(len(g)))
     assert sorted(H.full_weight(g, k) for k in range(len(g))) == sorted(
         [A1.varpi(1), H.scale(-1, A1.varpi(1))]
     )
@@ -113,8 +113,8 @@ def test_degrees_nonpositive_and_zero_at_seed():
         lam = rs.weight_of(coeffs)
         g = C.generate_level_zero(rs, lam)
         assert g.nodes[0] == P.straight(lam)
-        assert C.degree(g, 0) == 0
-        assert all(C.degree(g, k) <= 0 for k in range(len(g)))
+        assert -H.full_weight(g, 0)[-1] == 0
+        assert all(-H.full_weight(g, k)[-1] <= 0 for k in range(len(g)))
 
 
 def test_weight_confinement():

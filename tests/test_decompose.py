@@ -350,10 +350,9 @@ def test_sh_embed_bijection_onto_short_cone(letter, rank, coeffs):
         minus = (0,) * (rs.rank + 1) + (-offset,)
         anchored_images.add(P.shift(image, minus))
 
-    from pathcrystals.characters import hd_below_short
-
-    pred = hd_below_short(rs, lam)
-    cone = {p for p in big_graph.nodes if pred(hd_key(rs, p.endpoint()))}
+    lam_f = CH.finite_key(rs, lam)
+    cone = {p for p in big_graph.nodes
+            if CH.in_q_plus_short(rs, lam_f, CH.hd_finite_part(hd_key(rs, p.endpoint())))}
     assert anchored_images == cone
 
 
@@ -475,7 +474,7 @@ def test_verify_main_builds_the_level_one_block_once(monkeypatch):
 
 def test_verify_main_keeps_failure_details(monkeypatch):
     # every key counts as below lam, so the path-side projection keeps too much
-    monkeypatch.setattr(DC, "hd_below_short", lambda rs, lam: lambda key: True)
+    monkeypatch.setattr(DC, "in_q_plus_short", lambda rs, lam_finite, key_finite: True)
     rep = DC.verify_main(C2, C2.weight_of((1, 0)))
     assert not rep.checks["short_restriction"]
     assert rep.details and rep.details[0].startswith("path-side projection differs")
@@ -632,7 +631,7 @@ def _decompose_hd_pairwise(rs, ch):
             ]
             top = maximal[-1]
             mult = residue[top]
-            residue = residue.added(CH.finite_char(rs, top).scaled(mult), sign=-1)
+            residue = residue.added(CH.finite_char(rs, top), sign=-mult)
             out[(top, m)] = out.get((top, m), 0) + mult
     return out
 

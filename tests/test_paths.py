@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +189,45 @@ def test_concat_weight_associativity():
     left = P.concat(P.concat(p1, p2), p3)
     right = P.concat(p1, P.concat(p2, p3))
     assert left.endpoint() == right.endpoint()
+
+
+def _reference_concat(p1, p2):
+    """Both factors at double speed over the lcm of their scales, then the
+    two-pass canonical form."""
+    scale = lcm(p1.ts[-1], p2.ts[-1])
+    dirs = [tuple(2 * c for c in mu) for mu in p1.dirs + p2.dirs]
+    ts = [t * (scale // p1.ts[-1]) for t in p1.ts]
+    ts += [scale + t * (scale // p2.ts[-1]) for t in p2.ts]
+    return H.two_pass_canonical(dirs, ts)
+
+
+def _starting_with(mu, path):
+    """A straight stretch in direction ``mu`` on [0, 1/2], then ``path``."""
+    s = path.ts[-1]
+    return H.two_pass_canonical((mu,) + path.dirs, (s,) + tuple(s + t for t in path.ts))
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 1), ("A", 2), ("B", 2), ("C", 3),
+                                         ("D", 4), ("G", 2), ("F", 4)])
+def test_concat_matches_two_pass_canonical(letter, rank):
+    # half the pairs share the junction direction, so the merge is exercised;
+    # a straight first factor merged into the second often leaves a common
+    # factor in the times, so their reduction is exercised too
+    rs = root_system(letter, rank)
+    rng = random.Random(f"concat {letter}{rank}")
+    merges = 0
+    for k in range(3000):
+        p1 = random_integral_path(rs, rng)
+        p2 = random_integral_path(rs, rng)
+        if k % 4 == 0:
+            p2 = _starting_with(p1.dirs[-1], p2)
+        elif k % 4 == 1:
+            p1 = P.straight(p2.dirs[0])
+        got = P.concat(p1, p2)
+        want = _reference_concat(p1, p2)
+        assert (got.dirs, got.ts) == (want.dirs, want.ts)
+        merges += p1.dirs[-1] == p2.dirs[0]
+    assert merges >= 1000
 
 
 def tensor_rule_prediction(rs, i, p1, p2, lowering):
