@@ -42,49 +42,36 @@ EXIT_MISMATCH = 2
 EXIT_LIMIT = 3
 
 
-def _ascii_int(text):
-    """``text`` as an int if, spaces stripped, it is ASCII decimal digits; else -1."""
+def _ascii_int(text, signed=False):
+    """``text`` as an int if, spaces stripped, it is ASCII decimal digits
+    (after one optional '-' when ``signed``); else None."""
     text = text.strip()
-    return int(text) if text.isascii() and text.isdigit() else -1
+    digits = text.removeprefix("-") if signed else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
 
 
 def _parse_weight(rs, text):
     """Comma-separated ASCII decimal coefficients, spaces around each allowed."""
     coeffs = tuple(map(_ascii_int, text.split(",")))
-    if len(coeffs) != rs.rank or -1 in coeffs:
+    if len(coeffs) != rs.rank or None in coeffs:
         raise RootDataError(f"weight needs {rs.rank} nonnegative coefficients")
     return coeffs
 
 
-def _cap(text):
-    """A cap is an integer of at least 1; anything else is a usage error."""
-    if (cap := _ascii_int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"a cap must be an integer of at least 1, got {text!r}")
-    return cap
+def _integer(message, low=None, signed=False):
+    """An argparse type reading ``_ascii_int`` of at least ``low``; anything
+    else is a usage error that quotes ``message``."""
+    def parse(text):
+        n = _ascii_int(text, signed)
+        if n is None or low is not None and n < low:
+            raise argparse.ArgumentTypeError(f"{message}, got {text!r}")
+        return n
+    return parse
 
 
-def _count(text):
-    """ASCII decimal digits; anything else is a usage error."""
-    if (n := _ascii_int(text)) < 0:
-        raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
-    return n
-
-
-def _shift(text):
-    """An optional leading '-', then ASCII decimal digits; anything else is a
-    usage error."""
-    digits = text.strip().removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(
-            f"expected an optional '-' and ASCII decimal digits, got {text!r}")
-    return int(text)
-
-
-def _root_system(args):
-    letter = args.type.upper()
-    if letter not in SUPPORTED or args.rank not in SUPPORTED[letter]:
-        raise RootDataError(f"unsupported type {letter}{args.rank}")
-    return root_system(letter, args.rank)
+_cap = _integer("a cap must be an integer of at least 1", low=1)
+_count = _integer("expected ASCII decimal digits")
+_shift = _integer("expected an optional '-' and ASCII decimal digits", signed=True)
 
 
 def _emit(payload, fmt, rows):
@@ -97,8 +84,7 @@ def _emit(payload, fmt, rows):
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def cmd_crystal(args):
-    rs = _root_system(args)
+def cmd_crystal(rs, args):
     coeffs = _parse_weight(rs, args.weight)
     graph = C.generate_level_zero(rs, rs.weight_of(coeffs), args.node_cap)
     if args.format == "dot":
@@ -115,8 +101,7 @@ def cmd_crystal(args):
     return EXIT_OK
 
 
-def cmd_demazure(args):
-    rs = _root_system(args)
+def cmd_demazure(rs, args):
     coeffs = _parse_weight(rs, args.weight)
     spec = demazure_params(rs, args.level, coeffs, args.mshift)
     if args.format == "dot":
@@ -135,8 +120,7 @@ def cmd_demazure(args):
     return EXIT_OK
 
 
-def cmd_decompose(args):
-    rs = _root_system(args)
+def cmd_decompose(rs, args):
     coeffs = _parse_weight(rs, args.weight)
     graph = C.generate_level_zero(rs, rs.weight_of(coeffs), args.node_cap)
     components = DC.decompose_tensor_image(rs, graph, args.raise_cap, cap=args.node_cap)
@@ -157,8 +141,7 @@ def cmd_decompose(args):
     return EXIT_OK
 
 
-def cmd_filtration(args):
-    rs = _root_system(args)
+def cmd_filtration(rs, args):
     coeffs = _parse_weight(rs, args.weight)
     filt = DC.weyl_filtration_multiset(rs, rs.weight_of(coeffs), args.node_cap)
     payload = {"blocks": [{"mu": list(mu), "m": m, "mult": mult} for mu, m, mult in filt]}
@@ -167,8 +150,7 @@ def cmd_filtration(args):
     return EXIT_OK
 
 
-def cmd_verify(args):
-    rs = _root_system(args)
+def cmd_verify(rs, args):
     status = EXIT_OK
     reports = []
     for text in args.weight.split(";"):
@@ -254,8 +236,7 @@ def run_selftest(rs, seed, count=200):
     return count
 
 
-def cmd_selftest(args):
-    rs = _root_system(args)
+def cmd_selftest(rs, args):
     count = run_selftest(rs, args.seed)
     payload = {"type": f"{rs.letter}{rs.rank}", "paths": count, "ok": True}
     _emit(payload, args.format, [tuple(payload), tuple(payload.values())])
@@ -321,7 +302,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # a usage error is a configuration error
         raise SystemExit(EXIT_CONFIG if exc.code else exc.code) from None
     try:
-        return COMMANDS[args.command][0](args)
+        letter = args.type.upper()
+        if letter not in SUPPORTED or args.rank not in SUPPORTED[letter]:
+            raise RootDataError(f"unsupported type {letter}{args.rank}")
+        return COMMANDS[args.command][0](root_system(letter, args.rank), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -114,7 +114,6 @@ class RootSystem:
         self.letter = letter
         self.rank = rank
         self.finite_cartan = tuple(tuple(row) for row in cartan)
-        self.theta_coeffs = (0,) + tuple(marks)  # theta on alpha_1..alpha_n, padded
         self.comarks = (1,) + tuple(comarks)  # a_i^vee with a_0^vee = 1
         self.r = r
         self.nodes = range(rank + 1)

@@ -3,10 +3,11 @@ and the root enumeration that check the root tables, paths built from
 fractional breakpoints and read pointwise, crystal reflections, the
 dominance order, a few weight, character and crystal readings, a memo of
 the level-zero crystals, the Demazure crystal's weight sum that the
-character formula replaced, the record tree of the crystal JSON export, and
-the per-entry weight arithmetic, the Fraction division, the Fraction bridge
-to the short subsystem, the two-pass column and the random-path generator
-that the integer code replaced."""
+character formula replaced, the Racah-Speiser straightening that is to
+replace the peel in ``decompose_hd``, the record tree of the crystal JSON
+export, and the per-entry weight arithmetic, the Fraction division, the
+Fraction bridge to the short subsystem, the two-pass column and the
+random-path generator that the integer code replaced."""
 
 from __future__ import annotations
 
@@ -487,6 +488,25 @@ def demazure_operator_reference(rs, word, ch: Character) -> Character:
                 out.add_term(tuple(a - j * b for a, b in zip(key, alpha)), c)
         ch = out
     return ch
+
+
+def straighten(rs, ch) -> dict:
+    """Racah-Speiser straightening of a W-invariant restricted character
+    (Humphreys, GTM 9, §24), in ints: {(mu, m): multiplicity}, the reference
+    for ``characters.decompose_hd``.  Each key's finite part plus rho is
+    reflected into the dominant chamber, its sign flipping at each
+    reflection; a key that hits a wall drops out, and any other lands on
+    mu + rho and keeps its delta entry m."""
+    alphas = {i: rs.simple_root(i)[1 : rs.rank + 1] for i in rs.finite_nodes}
+    out = Character()
+    for key, coeff in ch.items():
+        x = [c + 1 for c in hd_finite_part(key)]
+        while (i := next((i for i in rs.finite_nodes if x[i - 1] < 0), None)) is not None:
+            x = [a - x[i - 1] * b for a, b in zip(x, alphas[i])]
+            coeff = -coeff
+        if 0 not in x:
+            out.add_term((tuple(c - 1 for c in x), hd_delta(key)), coeff)
+    return dict(out)
 
 
 def component_multiset(components) -> list:

@@ -169,6 +169,15 @@ def test_graded_multiplicity_mass_conservation():
     assert total == ch.mass()
 
 
+def test_straightening_equals_the_peel_on_route_a():
+    cases = sweep_weights() + LARGE_WEIGHTS
+    assert len(cases) == 104
+    for letter, rank, coeffs in cases:
+        rs = root_system(letter, rank)
+        ch = DC.path_side_char(rs, H.level_zero(rs, rs.weight_of(coeffs)))
+        assert H.straighten(rs, ch) == CH.decompose_hd(rs, ch), (letter, rank, coeffs)
+
+
 def test_decompose_finite_rejects_garbage():
     bad = Character.monomial((0, 1, 0), -1)  # negative at a maximal weight
     with pytest.raises(CH.CharacterError):
@@ -357,3 +366,21 @@ def test_lattice_predicates_on_fractional_differences():
             assert H.in_q_plus(rs, a, b) == _in_q_plus_fractions(rs, a, b) == want
             if not rs.is_simply_laced:
                 assert CH.in_q_plus_short(rs, a, b) == _in_q_plus_short_fractions(rs, a, b) == want
+
+
+# -- input guards, each with its exact message --------------------------------
+
+CHARACTER_GUARDS = [
+    ("hd_key", lambda: CH.hd_key(C2, C2.weight_of((1, 0))[:-1]),
+     "restriction needs a full affine weight"),
+    ("decompose_hd", lambda: CH.decompose_hd(C2, Character({(-1, 0, 0): 1})),
+     "maximal key (-1, 0, 0) is not dominant"),
+]
+
+
+@pytest.mark.parametrize("call,message", [g[1:] for g in CHARACTER_GUARDS],
+                         ids=[g[0] for g in CHARACTER_GUARDS])
+def test_characters_reject_bad_input(call, message):
+    with pytest.raises(CH.CharacterError) as exc:
+        call()
+    assert type(exc.value) is CH.CharacterError and str(exc.value) == message

@@ -221,6 +221,11 @@ def test_config_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_demazure_level_zero_is_a_config_error(capsys):
+    argv = ["demazure", "--type", "C", "--rank", "2", "--weight", "1,0", "--level", "0"]
+    assert run(capsys, argv) == (1, "", "error: level must be positive\n")
+
+
 @pytest.mark.parametrize("weight", ["1_0,0", "\u0661", "1,0;;0,1", "+1,0", "1,-1", "1,", " ,1"])
 def test_weight_coefficients_are_ascii_decimal_digits(capsys, weight):
     code, out, err = run(capsys, ["verify", "--type", "A", "--rank", "2", "--weight", weight])
@@ -450,7 +455,7 @@ def test_a_replaced_handler_takes_effect_after_the_first_call(capsys, monkeypatc
     assert run(capsys, argv)[0] == 0
     seen = []
 
-    def handler(args):
+    def handler(rs, args):
         seen.append(args)
         return 5
 

@@ -399,3 +399,21 @@ def test_export_breakpoints_match_their_fractions():
             assert C.node_id(path) == rec["id"] == hashlib.sha1(blob.encode()).hexdigest()[:12]
             assert [seg["sigma"] for seg in rec["path"]] == [
                 f"{s.numerator}/{s.denominator}" for s in sigmas]
+
+
+# -- input guards, each with its exact message --------------------------------
+
+CRYSTAL_GUARDS = [
+    ("d_lambda", lambda: C.d_lambda(C2, C2.weight_of((0, 0), level=1)),
+     "expected a classical level-zero weight"),
+    ("generate_level_zero", lambda: C.generate_level_zero(C2, C2.weight_of((-1, 1))),
+     "expected a dominant classical level-zero weight"),
+]
+
+
+@pytest.mark.parametrize("call,message", [g[1:] for g in CRYSTAL_GUARDS],
+                         ids=[g[0] for g in CRYSTAL_GUARDS])
+def test_crystals_reject_bad_input(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and str(exc.value) == message

@@ -352,3 +352,20 @@ def test_word_closure_lowers_each_node_once_per_letter_node(monkeypatch, letter,
     monkeypatch.setattr(P, "f_op", counted)
     assert demazure_crystal(spec) == want
     assert len(calls) == len(set(calls)) == walks
+
+
+# -- input guards, each with its exact message --------------------------------
+
+DEMAZURE_GUARDS = [
+    ("level_zero", lambda: D.demazure_params(C2, 0, (1, 0)), "level must be positive"),
+    ("negative", lambda: D.demazure_params(C2, 1, (-1, 0)),
+     "need nonnegative coefficients, one per finite node"),
+]
+
+
+@pytest.mark.parametrize("call,message", [g[1:] for g in DEMAZURE_GUARDS],
+                         ids=[g[0] for g in DEMAZURE_GUARDS])
+def test_demazure_params_rejects_bad_input(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and str(exc.value) == message

@@ -383,3 +383,12 @@ def test_operator_axioms_hypothesis(data):
         assert P.f_op(rs, i, up) == path
         assert H.is_integral(rs, up)
 
+
+# -- input guards, each with its exact message --------------------------------
+
+def test_concat_rejects_paths_on_different_lattices():
+    lam = C2.weight_of((1, 0))
+    with pytest.raises(P.PathError) as exc:
+        P.concat(P.straight(lam), P.straight(lam[:-1]))
+    assert type(exc.value) is P.PathError
+    assert str(exc.value) == "concatenation needs a common lattice"

@@ -273,3 +273,28 @@ def test_reflect_matches_the_normalizing_formula(any_rs):
             want = _reflect_normalizing(any_rs, i, mu)
             assert got == want
             assert [type(v) for v in got] == [type(v) for v in want]
+
+
+# -- input guards, each with its exact message --------------------------------
+
+ROOTDATA_GUARDS = [
+    ("B1", lambda: root_system("B", 1), "type B needs rank >= 2"),
+    ("E6", lambda: root_system("E", 6), "type E exceeds the supported rank table"),
+    ("X2", lambda: root_system("X", 2), "unknown type letter 'X'"),
+    ("simple_root", lambda: C2.simple_root(9), "unknown node index 9"),
+    ("varpi", lambda: C2.varpi(0), "0 is not a finite node"),
+    ("weight_of", lambda: C2.weight_of((1,)), "need one coefficient per finite node"),
+    ("is_cl", lambda: C2.is_cl((1,)), "weight of length 1 does not fit rank 2"),
+    ("dominantize", lambda: C2.dominantize((1, 0.0, 0, 0)),
+     "dominantize needs an integral weight"),
+    ("antidominantize", lambda: C2.antidominantize_finite(C2.weight_of((0, 0), level=1)),
+     "expected a classical (level-zero) weight"),
+]
+
+
+@pytest.mark.parametrize("call,message", [g[1:] for g in ROOTDATA_GUARDS],
+                         ids=[g[0] for g in ROOTDATA_GUARDS])
+def test_root_data_rejects_bad_input(call, message):
+    with pytest.raises(RootDataError) as exc:
+        call()
+    assert type(exc.value) is RootDataError and str(exc.value) == message
